@@ -13,7 +13,6 @@ seed spaces up to 2^16) and floats beyond.  The identity checks in
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -38,13 +37,10 @@ __all__ = [
     "DistTable",
     "exact_table",
     "empirical_table",
-    "uniform_table",
     "kl_divergence",
     "tv_distance",
     "write_samples",
     "read_samples",
-    "write_table",
-    "read_table",
 ]
 
 EXACT_SEED_LIMIT = 16  # rational tables up to 2**16 seeds
@@ -104,7 +100,6 @@ def decode_params(bits: str) -> tuple[int, int, int]:
 
 def kgen_eval(inst: GroupInstance, key: int, x: str) -> str:
     """x || BIN_n(F(key, x)); output length 2n."""
-    check_bits(x, inst.n)
     return x + bin_n(prf_eval(inst, key, x), inst.n)
 
 
@@ -179,8 +174,9 @@ class DistTable:
         return all(isinstance(v, Fraction) for v in self.probs.values())
 
     def prob(self, bits: str):
+        """The stored probability of ``bits``; 0 for strings absent from the table."""
         check_bits(bits, self.n_bits)
-        return self.probs.get(bits, Fraction(0) if self.is_exact() else 0.0)
+        return self.probs.get(bits, 0)
 
     def support(self) -> set[str]:
         return {bits for bits, prob in self.probs.items() if prob > 0}
@@ -222,11 +218,6 @@ def empirical_table(samples: Iterable[str]) -> DistTable:
     if total == 0:
         raise ValueError("no samples")
     return DistTable(width, {s: Fraction(c, total) for s, c in counts.items()})
-
-
-def uniform_table(n_bits: int) -> DistTable:
-    unit = Fraction(1, 1 << n_bits)
-    return DistTable(n_bits, {bin_n(v, n_bits): unit for v in range(1 << n_bits)})
 
 
 def kl_divergence(p: DistTable, q: DistTable) -> float:
@@ -276,18 +267,3 @@ def read_samples(path) -> list[str]:
         check_bits(line)
     return lines
 
-
-def write_table(path, table: DistTable) -> None:
-    """JSON map bitstring -> decimal probability, keys sorted."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({b: float(v) for b, v in sorted(table.probs.items())}, fh, indent=2)
-        fh.write("\n")
-
-
-def read_table(path) -> DistTable:
-    with open(path, encoding="ascii") as fh:
-        raw = json.load(fh)
-    if not raw:
-        raise ValueError("empty distribution table")
-    width = len(next(iter(raw)))
-    return DistTable(width, {b: float(v) for b, v in raw.items()})

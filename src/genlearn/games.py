@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .distributions import GeneratorSpec, bin_n, bits_to_int, encode_params, uniform_spec
 from .learner import learn_key, pac_generator_learn
@@ -32,7 +33,6 @@ from .prf import (
     QueryBudgetExceeded,
     RandomExampleOracle,
     check_bits,
-    keyed_function,
     prf_eval,
 )
 from .seeding import make_rng
@@ -148,7 +148,7 @@ def run_distinguisher_game(
         invalid = 0
         for i, inst in enumerate(instances):
             if arm == "real":
-                fn = keyed_function(inst, keys[i])
+                fn = partial(prf_eval, inst, keys[i])
             else:
                 fn = LazyRandomFunction(n, inst.q, make_rng(seed, "randfn", i))
             if flavor == "mq":
@@ -286,10 +286,12 @@ def run_inference_game(
     """Play the exam game: fresh instance and key per trial.
 
     The strategy object exposes ``choose_exam(params, oracle, rng)`` and
-    ``guess(pair, rng) -> index``.  The harness enforces exam freshness (a
-    reused query point is a protocol violation, scored as a failed trial),
-    draws the decoy value uniformly from {1, ..., q}, and shuffles the
-    pair before presenting it.
+    ``guess(pair, rng) -> index``.  The harness enforces the exam rules (an
+    exam that is not an n-bit string, or a reused query point, is a
+    protocol violation, scored as a failed trial), draws the decoy value
+    uniformly from {1, ..., q}, and shuffles the pair before presenting
+    it.  A budget overrun in ``choose_exam`` invalidates the trial; any
+    other exception from the strategy propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -300,38 +302,37 @@ def run_inference_game(
     for i in range(trials):
         inst = generate_instance(n, make_rng(seed, "instance", i))
         key = make_rng(seed, "key", i).randint(1, inst.q)
-        oracle = MembershipOracle(keyed_function(inst, key), n, max_queries=budget)
+        oracle = MembershipOracle(partial(prf_eval, inst, key), n, max_queries=budget)
         strategy = strategy_factory()
         rng = make_rng(seed, "strategy", i)
         exam_rng = make_rng(seed, "exam", i)
         try:
             exam = strategy.choose_exam(inst.public(), oracle, rng)
-            check_bits(exam, n)
         except QueryBudgetExceeded:
             invalid += 1
             continue
+        try:
+            check_bits(exam, n)
         except ValueError:
             violations += 1
             continue
-        queries = tuple((entry["query"], entry["response"]) for entry in oracle.transcript)
-        if exam in oracle.queried:
-            # Freshness rule: the exam string must be new.  Hard-enforced.
+        # Freshness rule: the exam string must be new.  Hard-enforced.
+        violation = exam in oracle.queried
+        if violation:
             violations += 1
-            if keep_transcripts:
-                transcripts.append(
-                    InferenceTranscript(queries, exam, (0, 0), 0, 0, False, violation=True)
-                )
-            continue
-        true_value = prf_eval(inst, key, exam)
-        decoy = exam_rng.randint(1, inst.q)
-        true_index = exam_rng.randrange(2)
-        pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
-        guess = strategy.guess(pair, rng)
-        passed = guess == true_index
-        passes += 1 if passed else 0
+            pair, true_index, guess, passed = (0, 0), 0, 0, False
+        else:
+            true_value = prf_eval(inst, key, exam)
+            decoy = exam_rng.randint(1, inst.q)
+            true_index = exam_rng.randrange(2)
+            pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
+            guess = strategy.guess(pair, rng)
+            passed = guess == true_index
+            passes += 1 if passed else 0
         if keep_transcripts:
+            queries = tuple((entry["query"], entry["response"]) for entry in oracle.transcript)
             transcripts.append(
-                InferenceTranscript(queries, exam, pair, true_index, guess, passed)
+                InferenceTranscript(queries, exam, pair, true_index, guess, passed, violation)
             )
 
     scored = trials - invalid

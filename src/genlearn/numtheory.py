@@ -29,7 +29,6 @@ __all__ = [
     "canonical_exponent",
     "is_qr",
     "qr_set",
-    "mod_exp",
     "f_p",
     "f_p_inv",
     "discrete_log",
@@ -137,15 +136,6 @@ def is_qr(p: int, x: int) -> bool:
 def qr_set(p: int) -> set[int]:
     """The full set of quadratic residues mod p, by brute-force squaring."""
     return {x * x % p for x in range(1, p)}
-
-
-def mod_exp(p: int, base: int, e: int) -> int:
-    """base**e mod p (square-and-multiply via the builtin)."""
-    if not 1 <= base <= p - 1:
-        raise ValueError(f"base {base} out of range for modulus {p}")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, e, p)
 
 
 def f_p(p: int, x: int) -> int:

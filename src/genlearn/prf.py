@@ -1,10 +1,16 @@
-"""The DDH length-doubling PRG, the GGM keyed function, and query oracles.
+"""The GGM keyed function over the DDH length-doubling generator, and query oracles.
 
 The keyed function walks a binary tree: the key sits at the root and each
-input bit (leftmost bit first) picks which half of the stretched seed to
-descend into.  Seeds and outputs live in the canonical set {1, ..., q};
-the fold map ``f_p`` carries group elements back into that set so the
-generator can be iterated.
+input bit (leftmost bit first) picks which half of the stretched seed
+(f_p(g^b), f_p(g_a^b)) to descend into.  Seeds and outputs live in the
+canonical set {1, ..., q}; the fold map ``f_p`` carries group elements
+back into that set so the generator can be iterated.
+
+Inputs are checked once, where they enter: ``ggm_walk`` checks its bits
+and key, the oracles their query points.  Inside the walk every power of
+g or g_a is a residue (instances are built only by ``generate_instance``
+or ``validate_instance``), so each level folds with ``min(y, p - y)``
+instead of the Euler-checked ``f_p``.
 
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.
@@ -12,23 +18,19 @@ owner; everything else here is pure.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Callable
 
-from .numtheory import GroupInstance, f_p
+from .numtheory import GroupInstance
 
 __all__ = [
     "QueryBudgetExceeded",
     "check_bits",
-    "prg_eval",
     "ggm_walk",
     "prf_eval",
-    "keyed_function",
     "LazyRandomFunction",
     "MembershipOracle",
     "RandomExampleOracle",
-    "ValueExampleOracle",
 ]
 
 
@@ -38,47 +40,34 @@ class QueryBudgetExceeded(RuntimeError):
 
 def check_bits(bits: str, length: int | None = None) -> None:
     """Validate an ASCII bitstring, optionally of a required length."""
-    if not isinstance(bits, str) or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or bits.strip("01"):
         raise ValueError(f"not a bitstring: {bits!r}")
     if length is not None and len(bits) != length:
         raise ValueError(f"bitstring {bits!r} has length {len(bits)}, expected {length}")
 
 
-def _check_key(inst: GroupInstance, b: int) -> None:
-    if not 1 <= b <= inst.q:
-        raise ValueError(f"seed/key {b} outside canonical range 1..{inst.q}")
-
-
-def prg_eval(inst: GroupInstance, b: int) -> tuple[int, int]:
-    """Stretch one seed into two: (f_p(g^b), f_p(g_a^b))."""
-    _check_key(inst, b)
-    return (
-        f_p(inst.p, pow(inst.g, b, inst.p)),
-        f_p(inst.p, pow(inst.g_a, b, inst.p)),
-    )
-
-
 def ggm_walk(inst: GroupInstance, key: int, bits: str) -> int:
-    """Walk the GGM tree from ``key`` along ``bits`` (any length, left first)."""
+    """Walk the GGM tree from ``key`` along ``bits`` (any length, left first).
+
+    A one-bit walk is one half of the length-doubling generator:
+    ``ggm_walk(inst, b, "0")`` is f_p(g^b) and ``"1"`` gives f_p(g_a^b).
+    """
     check_bits(bits)
-    _check_key(inst, key)
+    if not 1 <= key <= inst.q:
+        raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
+    p, g, g_a = inst.p, inst.g, inst.g_a
     b = key
     for ch in bits:
-        base = inst.g if ch == "0" else inst.g_a
-        b = f_p(inst.p, pow(base, b, inst.p))
+        y = pow(g if ch == "0" else g_a, b, p)
+        b = min(y, p - y)
     return b
 
 
 def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     """The keyed function F(key, x) for an n-bit input x; output in {1, ..., q}."""
-    check_bits(x, inst.n)
+    if len(x) != inst.n:
+        raise ValueError(f"bitstring {x!r} has length {len(x)}, expected {inst.n}")
     return ggm_walk(inst, key, x)
-
-
-def keyed_function(inst: GroupInstance, key: int) -> Callable[[str], int]:
-    """F(key, .) as a plain callable on n-bit strings."""
-    _check_key(inst, key)
-    return lambda x: prf_eval(inst, key, x)
 
 
 class LazyRandomFunction:
@@ -123,9 +112,6 @@ class MembershipOracle:
         self.transcript.append({"query": x, "response": value})
         return value
 
-    def transcript_json(self) -> str:
-        return json.dumps(self.transcript)
-
 
 class RandomExampleOracle:
     """PEX-style handle: each draw returns (x, f(x)) with x uniform."""
@@ -142,23 +128,11 @@ class RandomExampleOracle:
         self._rng = rng
         self.max_queries = max_queries
         self.count = 0
-        self.transcript: list[dict] = []
 
     def draw(self) -> tuple[str, int]:
         if self.max_queries is not None and self.count >= self.max_queries:
             raise QueryBudgetExceeded(f"example oracle budget {self.max_queries} exhausted")
         self.count += 1
         x = format(self._rng.getrandbits(self.n_bits), f"0{self.n_bits}b")
-        value = self._fn(x)
-        self.transcript.append({"query": x, "response": value})
-        return x, value
+        return x, self._fn(x)
 
-    def transcript_json(self) -> str:
-        return json.dumps(self.transcript)
-
-
-class ValueExampleOracle(RandomExampleOracle):
-    """RPEX variant: draws return only f(x), hiding the sampled point."""
-
-    def draw(self) -> int:  # type: ignore[override]
-        return super().draw()[1]

@@ -131,6 +131,14 @@ class TestExactTable:
         with pytest.raises(ValueError):
             dist.DistTable(2, {"0": Fraction(1, 2), "01": Fraction(1, 2)})  # ragged
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_prob_lookup(self, inst7, exact):
+        table = dist.exact_table(dist.kgen_spec(inst7, 1), exact=exact)
+        assert table.prob("000001") == Fraction(1, 8)  # present: F(1, 000) = 1
+        assert table.prob("000010") == 0  # absent from the support
+        with pytest.raises(ValueError):
+            table.prob("0000")
+
 
 class TestEmpiricalTable:
     def test_examples(self):
@@ -162,7 +170,7 @@ class TestDistances:
 
     def test_kl_worked_example(self):
         half = dist.DistTable(2, {"00": Fraction(1, 2), "01": Fraction(1, 2)})
-        full = dist.uniform_table(2)
+        full = dist.exact_table(dist.uniform_spec(2))
         assert dist.kl_divergence(half, full) == pytest.approx(1.0, abs=1e-15)
 
     def test_kl_disjoint_is_infinite(self):
@@ -179,10 +187,12 @@ class TestDistances:
 
     def test_kl_domain_mismatch(self):
         with pytest.raises(ValueError):
-            dist.kl_divergence(dist.uniform_table(2), dist.uniform_table(3))
+            dist.kl_divergence(
+                dist.exact_table(dist.uniform_spec(2)), dist.exact_table(dist.uniform_spec(3))
+            )
 
     def test_tv_examples(self):
-        table = dist.uniform_table(2)
+        table = dist.exact_table(dist.uniform_spec(2))
         assert dist.tv_distance(table, table) == 0
         a = dist.DistTable(1, {"0": Fraction(1)})
         b = dist.DistTable(1, {"1": Fraction(1)})
@@ -219,11 +229,3 @@ class TestFiles:
         assert raw.endswith(b"\n") and raw.count(b"\n") == 10
         assert dist.read_samples(path) == samples
 
-    def test_table_file_roundtrip(self, tmp_path, inst7):
-        table = dist.exact_table(dist.kgen_spec(inst7, 2))
-        path = tmp_path / "table.json"
-        dist.write_table(path, table)
-        loaded = dist.read_table(path)
-        assert loaded.n_bits == table.n_bits
-        assert set(loaded.probs) == set(table.probs)
-        assert dist.tv_distance(loaded, table.to_float()) < 1e-12

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import pytest
 
 from genlearn import games
 from genlearn.distributions import uniform_spec
-from genlearn.prf import MembershipOracle
+from genlearn.prf import MembershipOracle, prf_eval
 
 
 class TestHoeffding:
@@ -118,6 +119,23 @@ class TestInferenceGame:
         assert result.passes == 0 and result.pass_rate == 0.0
         assert all(t.violation for t in result.transcripts)
 
+    def test_strategy_error_propagates(self):
+        # Only a malformed or reused exam is a violation; a strategy bug is not.
+        class BuggyStrategy(games.RandomGuessStrategy):
+            def choose_exam(self, params, oracle, rng):
+                raise ValueError("strategy bug")
+
+        with pytest.raises(ValueError, match="strategy bug"):
+            games.run_inference_game(BuggyStrategy, 6, 5, seed=17)
+
+    def test_malformed_exam_is_a_violation(self):
+        class ShortExamStrategy(games.RandomGuessStrategy):
+            def choose_exam(self, params, oracle, rng):
+                return "0" * (params.n - 1)
+
+        result = games.run_inference_game(ShortExamStrategy, 6, 5, seed=18)
+        assert result.violations == 5 and result.passes == 0
+
     def test_transcripts_well_formed(self):
         result = games.run_inference_game(
             games.KeyLearnerStrategy, 6, 40, seed=14, keep_transcripts=True
@@ -184,10 +202,9 @@ class TestLearnerInferenceReduction:
     def test_simulated_oracle_serves_generator_samples(self, inst7):
         from genlearn.distributions import gen_eval
         from genlearn.games import _SimulatedSampleOracle
-        from genlearn.prf import keyed_function
         from genlearn.seeding import make_rng
 
-        mq = MembershipOracle(keyed_function(inst7, 2), 3)
+        mq = MembershipOracle(partial(prf_eval, inst7, 2), 3)
         sim = _SimulatedSampleOracle(inst7, mq, "gen", make_rng(0, "sim"))
         for _ in range(10):
             sample = sim.sample()
@@ -199,10 +216,9 @@ class TestLearnerInferenceReduction:
     def test_kgen_form_has_no_suffix(self, inst7):
         from genlearn.distributions import kgen_eval
         from genlearn.games import _SimulatedSampleOracle
-        from genlearn.prf import keyed_function
         from genlearn.seeding import make_rng
 
-        mq = MembershipOracle(keyed_function(inst7, 1), 3)
+        mq = MembershipOracle(partial(prf_eval, inst7, 1), 3)
         sim = _SimulatedSampleOracle(inst7, mq, "kgen", make_rng(0, "sim"))
         sample = sim.sample()
         assert len(sample) == 6

@@ -1,6 +1,6 @@
-import json
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,21 +23,23 @@ def naive_walk(inst, key, bits):
 
 
 class TestPrg:
+    # One tree level is one half of the length-doubling generator.
     def test_stretch_examples(self, inst7):
-        assert prf.prg_eval(inst7, 1) == (2, 3)
-        assert prf.prg_eval(inst7, 2) == (3, 2)
-        assert prf.prg_eval(inst7, 3) == (1, 1)
+        for b, (left, right) in {1: (2, 3), 2: (3, 2), 3: (1, 1)}.items():
+            assert prf.ggm_walk(inst7, b, "0") == left
+            assert prf.ggm_walk(inst7, b, "1") == right
 
     def test_seed_range_enforced(self, inst7):
         for bad in (0, 4, -1):
-            with pytest.raises(ValueError):
-                prf.prg_eval(inst7, bad)
+            for bit in "01":
+                with pytest.raises(ValueError):
+                    prf.ggm_walk(inst7, bad, bit)
 
     def test_outputs_in_canonical_range(self):
         inst = generate_instance(8, make_rng(0, "prg"))
         for b in range(1, inst.q + 1, 7):
-            left, right = prf.prg_eval(inst, b)
-            assert 1 <= left <= inst.q and 1 <= right <= inst.q
+            for bit in "01":
+                assert 1 <= prf.ggm_walk(inst, b, bit) <= inst.q
 
 
 class TestKeyedFunction:
@@ -46,13 +48,15 @@ class TestKeyedFunction:
         assert prf.prf_eval(inst7, 1, "111") == 3  # 1 -> 3 -> 1 -> 3
         assert prf.prf_eval(inst7, 2, "101") == 1  # 2 -> 2 -> 3 -> 1
 
-    def test_matches_naive_walk(self):
+    @pytest.mark.parametrize("n", [6, 16, 32, 64])
+    def test_matches_naive_walk(self, n):
+        # naive_walk folds with the Euler-checked f_p; the walk folds inline.
         for seed in range(4):
-            inst = generate_instance(6, make_rng(seed, "walk"))
+            inst = generate_instance(n, make_rng(seed, "walk"))
             rng = random.Random(seed)
             for _ in range(20):
                 key = rng.randint(1, inst.q)
-                x = format(rng.getrandbits(6), "06b")
+                x = format(rng.getrandbits(n), f"0{n}b")
                 assert prf.prf_eval(inst, key, x) == naive_walk(inst, key, x)
 
     def test_length_mismatch(self, inst7):
@@ -125,28 +129,28 @@ class TestLazyRandomFunction:
 
 class TestOracles:
     def test_membership_matches_function(self, inst7):
-        oracle = prf.MembershipOracle(prf.keyed_function(inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
         assert oracle.query("111") == 3
         assert oracle.query("000") == 1
 
     def test_counting_and_transcript(self, inst7):
-        oracle = prf.MembershipOracle(prf.keyed_function(inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
         for _ in range(5):
             oracle.query("101")
         assert oracle.count == 5
         assert oracle.queried == {"101"}
-        entries = json.loads(oracle.transcript_json())
-        assert entries == [{"query": "101", "response": prf.prf_eval(inst7, 1, "101")}] * 5
+        entries = [{"query": "101", "response": prf.prf_eval(inst7, 1, "101")}] * 5
+        assert oracle.transcript == entries
 
     def test_budget(self, inst7):
-        oracle = prf.MembershipOracle(prf.keyed_function(inst7, 1), 3, max_queries=2)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=2)
         oracle.query("000")
         oracle.query("001")
         with pytest.raises(prf.QueryBudgetExceeded):
             oracle.query("010")
 
     def test_domain_violation(self, inst7):
-        oracle = prf.MembershipOracle(prf.keyed_function(inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
         with pytest.raises(ValueError):
             oracle.query("0101")
 
@@ -156,7 +160,7 @@ class TestOracles:
         assert oracle.query("010") == oracle.query("010")
 
     def test_random_examples_consistent(self, inst7):
-        oracle = prf.RandomExampleOracle(prf.keyed_function(inst7, 2), 3, random.Random(9))
+        oracle = prf.RandomExampleOracle(partial(prf.prf_eval, inst7, 2), 3, random.Random(9))
         for _ in range(50):
             x, value = oracle.draw()
             assert value == prf.prf_eval(inst7, 2, x)
@@ -164,7 +168,7 @@ class TestOracles:
 
     def test_random_examples_uniform(self, inst7):
         draws = 10_000
-        oracle = prf.RandomExampleOracle(prf.keyed_function(inst7, 1), 3, random.Random(4))
+        oracle = prf.RandomExampleOracle(partial(prf.prf_eval, inst7, 1), 3, random.Random(4))
         counts = {}
         for _ in range(draws):
             x, _ = oracle.draw()
@@ -175,14 +179,9 @@ class TestOracles:
         for c in counts.values():
             assert abs(c - expected) <= four_sigma
 
-    def test_value_only_variant(self, inst7):
-        oracle = prf.ValueExampleOracle(prf.keyed_function(inst7, 1), 3, random.Random(2))
-        value = oracle.draw()
-        assert isinstance(value, int) and 1 <= value <= 3
-
     def test_example_budget(self, inst7):
         oracle = prf.RandomExampleOracle(
-            prf.keyed_function(inst7, 1), 3, random.Random(0), max_queries=1
+            partial(prf.prf_eval, inst7, 1), 3, random.Random(0), max_queries=1
         )
         oracle.draw()
         with pytest.raises(prf.QueryBudgetExceeded):
