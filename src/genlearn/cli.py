@@ -9,6 +9,7 @@ verification suite failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -282,7 +283,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call.
+
+    ``parse_args`` leaves the parser unchanged.  A parser built per call is
+    a few hundred objects in reference cycles, which only the cyclic
+    collector frees, so many in-process commands held their memory.
+    """
     parser = argparse.ArgumentParser(
         prog="genlearn",
         description="Testbed for DDH-style generators, keyed functions, and learning games.",

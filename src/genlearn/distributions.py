@@ -78,6 +78,11 @@ class GeneratorSpec:
 
     def eval(self, seed: str) -> str:
         check_bits(seed, self.seed_bits)
+        return self._eval_formatted(seed)
+
+    def _eval_formatted(self, seed: str) -> str:
+        """``eval`` for a seed its caller formatted to ``seed_bits`` bits itself;
+        the output, which comes from ``eval_fn``, is still checked."""
         out = self.eval_fn(seed)
         check_bits(out, self.out_bits)
         return out
@@ -142,7 +147,7 @@ class SampleOracle:
     def sample(self) -> str:
         self.count += 1
         seed = format(self._rng.getrandbits(self.spec.seed_bits), f"0{self.spec.seed_bits}b")
-        return self.spec.eval(seed)
+        return self.spec._eval_formatted(seed)
 
 
 @dataclass(frozen=True, eq=True)
@@ -199,7 +204,7 @@ def exact_table(spec: GeneratorSpec, exact: bool | None = None) -> DistTable:
     unit = Fraction(1, 1 << m) if exact else 1.0 / (1 << m)
     probs: dict = {}
     for v in range(1 << m):
-        y = spec.eval(format(v, f"0{m}b"))
+        y = spec._eval_formatted(format(v, f"0{m}b"))
         probs[y] = probs.get(y, 0) + unit
     return DistTable(spec.out_bits, probs)
 

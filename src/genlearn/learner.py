@@ -3,18 +3,32 @@
 Given a single record ``x || BIN_n(F(key, x)) || BIN_3n(params)`` the key
 is recovered exactly: walk the tree backwards, at each level unfolding the
 value into the residue group and taking a discrete log in the base the
-input bit selected.  A generic discrete-log engine (baby-step giant-step
-by default) plays the exact-dlog oracle, so exactness holds at bit sizes
-where sqrt(q) work is feasible; ``max_n`` caps that (default 40,
-configurable).
+input bit selected.  A generic discrete-log engine plays the exact-dlog
+oracle, so exactness holds at bit sizes where sqrt(q) work is feasible;
+``max_n`` caps that (default 40, configurable).
+
+The default engine builds one baby-step giant-step table for base g per
+key (``numtheory.DlogTable``, ceil(sqrt(q)) entries, dropped when the key
+is found) and answers all n levels from it.  Base-g_a logs come from the
+same table: with a = log_g(g_a), invertible mod the prime q because
+g_a != 1, log_{g_a}(y) = log_g(y) * a^-1 mod q.  ``engine="brute"`` walks
+all q powers per level and is the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .distributions import GeneratorSpec, SampleOracle, bits_to_int, decode_params, gen_spec
-from .numtheory import GroupInstance, discrete_log, f_p_inv, validate_instance
+from .numtheory import (
+    DlogTable,
+    GroupInstance,
+    canonical_exponent,
+    discrete_log,
+    is_qr,
+    validate_instance,
+)
 from .prf import check_bits
 
 __all__ = [
@@ -51,15 +65,27 @@ def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int
     Walks levels j = n down to 1: unfold the current value into QR_p, then
     dlog base g (bit 0) or base g_a (bit 1).  Exactly inverts the forward
     walk for genuine outputs; corrupted inputs surface as range errors.
+    ``inst`` is trusted to be validated, so g and g_a generate QR_p.
     """
     check_bits(x, inst.n)
     if not 1 <= fx <= inst.q:
         raise ValueError(f"function value {fx} outside canonical range 1..{inst.q}")
+    p, q = inst.p, inst.q
+    if engine == "bsgs":
+        log_g = DlogTable(p, inst.g).log
+        a_inv = pow(log_g(inst.g_a), -1, q)
+
+        def log_g_a(y: int) -> int:
+            return canonical_exponent(log_g(y) * a_inv, q)
+
+    else:
+        log_g = partial(discrete_log, p, inst.g, engine=engine)
+        log_g_a = partial(discrete_log, p, inst.g_a, engine=engine)
     b = fx
     for ch in reversed(x):
-        y = f_p_inv(inst.p, b)
-        base = inst.g if ch == "0" else inst.g_a
-        b = discrete_log(inst.p, base, y, engine=engine)
+        # q is odd, so exactly one of b and p - b is a residue.
+        y = b if is_qr(p, b) else p - b
+        b = log_g(y) if ch == "0" else log_g_a(y)
     return b
 
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,7 @@ __all__ = [
     "qr_set",
     "f_p",
     "f_p_inv",
+    "DlogTable",
     "discrete_log",
     "generate_instance",
     "validate_instance",
@@ -161,13 +163,48 @@ def f_p_inv(p: int, y: int) -> int:
     return cand
 
 
+class DlogTable:
+    """Baby-step giant-step logs to one base g of QR_p, from one shared table.
+
+    ``g`` must generate QR_p (a residue other than 1), and ``log`` must be
+    given residues: callers check both once, where the values enter, and
+    the table trusts them.  g has prime order q, so its first q powers are
+    distinct and each of the m = ceil(sqrt(q)) baby steps g**j gets its own
+    entry.  Building costs m multiplications and memory for m entries;
+    every log after that costs at most m giant steps, so one table serves
+    any number of logs in the same group.
+    """
+
+    def __init__(self, p: int, g: int):
+        self.p = p
+        self.q = (p - 1) // 2
+        self.m = m = math.isqrt(self.q - 1) + 1
+        baby: dict[int, int] = {}
+        acc = 1
+        for j in range(m):
+            baby[acc] = j
+            acc = acc * g % p
+        self.baby = baby
+        self.stride = pow(g, -m, p)
+
+    def log(self, y: int) -> int:
+        """The e in {1, ..., q} with g**e == y mod p (residue 0 comes back as q)."""
+        p, m, baby, stride = self.p, self.m, self.baby, self.stride
+        cur = y
+        for i in range(m):
+            if cur in baby:
+                return canonical_exponent(i * m + baby[cur], self.q)
+            cur = cur * stride % p
+        raise ValueError(f"{y} is not a power of the table's base mod {p}")
+
+
 def discrete_log(p: int, base: int, y: int, engine: str = "bsgs") -> int:
     """Solve base**e == y mod p for e in {1, ..., q}, q = (p - 1) / 2.
 
     ``base`` must be a generator of QR_p (any residue != 1) and ``y`` a
-    residue.  The mathematical residue 0 is reported as canonical q.
-    Engines: "brute" walks all q powers, "bsgs" is baby-step giant-step
-    with O(sqrt(q)) time and memory.
+    residue; both are checked here.  The mathematical residue 0 is
+    reported as canonical q.  Engines: "brute" walks all q powers, "bsgs"
+    answers from a one-use ``DlogTable`` in O(sqrt(q)) time and memory.
     """
     q = (p - 1) // 2
     if base == 1:
@@ -184,21 +221,7 @@ def discrete_log(p: int, base: int, y: int, engine: str = "bsgs") -> int:
                 return e
         raise ValueError(f"no discrete log of {y} base {base} mod {p}")
     if engine == "bsgs":
-        m = 1
-        while m * m < q:
-            m += 1
-        baby = {}
-        acc = 1
-        for j in range(m):
-            baby.setdefault(acc, j)
-            acc = (acc * base) % p
-        stride = pow(base, -m, p)
-        cur = y
-        for i in range(m + 1):
-            if cur in baby:
-                return canonical_exponent(i * m + baby[cur], q)
-            cur = (cur * stride) % p
-        raise ValueError(f"no discrete log of {y} base {base} mod {p}")
+        return DlogTable(p, base).log(y)
     raise ValueError(f"unknown discrete log engine {engine!r}")
 
 

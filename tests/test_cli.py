@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from genlearn.cli import main
+from genlearn.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +191,20 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "numerology"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        # main() reuses one parser; a usage error or a default leaves nothing
+        # behind for the next command.
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit):
+            main(["instance", "--n", "x"])
+        first = run_cli(capsys, "instance", "--n", "6", "--seed", "42", "--format", "text")
+        again = run_cli(capsys, "instance", "--n", "6", "--seed", "42")
+        assert first[0] == again[0] == 0
+        assert json.loads(again[1])["n"] == "6"
+        assert first[1] != again[1]
 
 
 class TestEntryPoint:

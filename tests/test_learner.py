@@ -1,15 +1,17 @@
 import random
+import weakref
 
 import pytest
 
 from genlearn import distributions as dist
+from genlearn import learner
 from genlearn.learner import (
     InvalidSampleError,
     learn_from_sample,
     learn_key,
     pac_generator_learn,
 )
-from genlearn.numtheory import generate_instance
+from genlearn.numtheory import DlogTable, generate_instance
 from genlearn.prf import prf_eval
 from genlearn.seeding import make_rng
 
@@ -47,6 +49,54 @@ class TestLearnKey:
             for x in (format(v, "010b") for v in (0, 37, 511, 1023))
         }
         assert keys == {key}
+
+    def test_one_table_per_key(self, monkeypatch):
+        # The bsgs engine builds exactly one table per call and none outlives it.
+        built = []
+
+        class CountingTable(DlogTable):
+            def __init__(self, p, g):
+                super().__init__(p, g)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(learner, "DlogTable", CountingTable)
+        for n in (3, 12, 20):
+            inst = generate_instance(n, make_rng(n, "one-table"))
+            x = format(make_rng(n, "one-table-x").getrandbits(n), f"0{n}b")
+            key = inst.q // 2 + 1
+            fx = prf_eval(inst, key, x)
+            before = len(built)
+            assert learn_key(inst, x, fx) == key
+            assert len(built) == before + 1
+            assert all(ref() is None for ref in built)
+            assert learn_key(inst, x, fx, engine="brute") == key
+            assert len(built) == before + 1
+
+    def test_keys_match_brute_on_acceptance_instances(self):
+        # The instance and triple streams of acceptance criterion 1 (first
+        # five instances per n) and the samples of criterion 2.
+        for n in range(3, 17):
+            for i in range(5):
+                inst = generate_instance(n, make_rng(1000 + n, "inst", i))
+                rng = make_rng(1000 + n, "triple", i)
+                for _ in range(5):
+                    key = rng.randint(1, inst.q)
+                    x = format(rng.getrandbits(n), f"0{n}b")
+                    fx = prf_eval(inst, key, x)
+                    assert learn_key(inst, x, fx) == key
+                    assert learn_key(inst, x, fx, engine="brute") == key
+        sizes = [3, 4, 5, 6, 7, 8, 9, 10]
+        for i in range(100):
+            inst = generate_instance(sizes[i % 8], make_rng(2000, "inst", i))
+            key = make_rng(2000, "key", i).randint(1, inst.q)
+            oracle = dist.SampleOracle(dist.gen_spec(inst, key), make_rng(2000, "draw", i))
+            sample = oracle.sample()
+            assert learn_from_sample(sample).key == key
+            assert learn_from_sample(sample, engine="brute").key == key
+
+    def test_unknown_engine(self, inst7):
+        with pytest.raises(ValueError, match="engine"):
+            learn_key(inst7, "000", 1, engine="magic")
 
     def test_value_range_checked(self, inst7):
         with pytest.raises(ValueError):

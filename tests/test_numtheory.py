@@ -214,8 +214,66 @@ class TestDiscreteLog:
         y = data.draw(st.sampled_from(residues))
         assert nt.discrete_log(p, g, y, "brute") == nt.discrete_log(p, g, y, "bsgs")
 
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_matches_sympy(self, n):
+        # Independent oracle: sympy's discrete_log returns the least
+        # non-negative exponent, which maps to canonical {1, ..., q}.
+        ntheory = pytest.importorskip("sympy.ntheory")
+        for seed in range(3):
+            inst = nt.generate_instance(n, make_rng(seed, f"sympy-dlog{n}"))
+            p, q = inst.p, inst.q
+            table = nt.DlogTable(p, inst.g)
+            rng = random.Random(seed)
+            targets = [1, inst.g, inst.g_a] + [pow(inst.g, rng.randrange(q), p) for _ in range(8)]
+            for y in targets:
+                expected = nt.canonical_exponent(
+                    ntheory.discrete_log(p, y, inst.g, order=q, prime_order=True), q
+                )
+                assert table.log(y) == expected
+                assert nt.discrete_log(p, inst.g, y) == expected
+
     def test_canonical_exponent(self):
         assert nt.canonical_exponent(0, 5) == 5
         assert nt.canonical_exponent(5, 5) == 5
         assert nt.canonical_exponent(7, 5) == 2
         assert nt.canonical_exponent(1, 5) == 1
+
+
+class TestDlogTable:
+    @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
+    def test_matches_brute_walk(self, p):
+        # Every generator of QR_p and every residue.  The reference is the
+        # brute engine's walk g, g**2, ..., g**q, run once per generator:
+        # calling the brute engine per residue would cost q**3 / 2 steps.
+        q = (p - 1) // 2
+        residues = sorted(nt.qr_set(p))
+        for g in residues[1:]:
+            table = nt.DlogTable(p, g)
+            m = table.m
+            assert len(table.baby) == m and (m - 1) ** 2 < q <= m * m
+            acc = 1
+            for e in range(1, q + 1):
+                acc = acc * g % p
+                assert table.log(acc) == e  # ends with acc = 1 -> canonical q
+            assert acc == 1
+        table = nt.DlogTable(p, residues[1])
+        for y in residues:
+            assert table.log(y) == nt.discrete_log(p, residues[1], y, "brute")
+
+    def test_last_giant_step_is_reached(self):
+        # Where (q - 1) // m == m - 1, the log q - 1 is found only on giant
+        # step m - 1, the last one ``log`` takes; some primes here have that.
+        reached = 0
+        for p in nt.safe_primes_below(1 << 10):
+            q = (p - 1) // 2
+            table = nt.DlogTable(p, 4)
+            if (q - 1) // table.m == table.m - 1:
+                assert table.log(pow(4, q - 1, p)) == q - 1
+                reached += 1
+        assert reached
+
+    def test_one_table_answers_many_logs(self):
+        inst = nt.generate_instance(20, make_rng(7, "table-reuse"))
+        table = nt.DlogTable(inst.p, inst.g)
+        for e in (1, 2, inst.q - 1, inst.q, 12345, inst.q // 2):
+            assert table.log(pow(inst.g, e, inst.p)) == e
