@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .numtheory import GroupInstance
-from .prf import check_bits, prf_eval
+from .prf import KeyedWalker, check_bits, prf_eval
 
 __all__ = [
     "bin_n",
@@ -114,19 +114,25 @@ def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
 
 
 def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
+    """The spec of ``kgen_eval``; its walks share one ``KeyedWalker``."""
+    walk = KeyedWalker(inst, key)
+    n = inst.n
     return GeneratorSpec(
-        seed_bits=inst.n,
-        out_bits=2 * inst.n,
-        eval_fn=lambda x: kgen_eval(inst, key, x),
+        seed_bits=n,
+        out_bits=2 * n,
+        eval_fn=lambda x: x + bin_n(walk(x), n),
         kind="kgen",
     )
 
 
 def gen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
+    """The spec of ``gen_eval``: ``kgen_spec``'s walks, the suffix encoded once."""
+    kgen = kgen_spec(inst, key).eval_fn
+    suffix = encode_params(inst)
     return GeneratorSpec(
         seed_bits=inst.n,
         out_bits=5 * inst.n,
-        eval_fn=lambda x: gen_eval(inst, key, x),
+        eval_fn=lambda x: kgen(x) + suffix,
         kind="gen",
     )
 

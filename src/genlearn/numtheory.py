@@ -13,10 +13,24 @@ Conventions used throughout the package:
   quadratic residue, so the fold map ``f_p`` (x -> x or p - x) is not a
   bijection onto {1, ..., q} and key recovery degenerates.  p = 7 is the
   smallest usable instance.
+
+Two ways to exponentiate in the group, chosen by how often a base recurs:
+
+* builtin ``pow`` (square-and-multiply) for one-off powers: instance
+  checks, single GGM walks (oracles, ``prf_eval``, key recovery);
+* ``PowTable``, fixed-base windows built once per base, for many powers of
+  one base: ``prf.KeyedWalker`` builds one for g and one for g_a on a
+  spec's second walk (sample files, exact tables).
+
+Likewise ``DlogTable`` holds one baby-step table per base, for many logs.
+The safe-prime search keeps its candidate stream and makes each test
+cheap: a sieve lookup below 2**16, gcds with products of the sieved
+primes above (p and q screened together), then Miller-Rabin.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -33,32 +47,63 @@ __all__ = [
     "f_p",
     "f_p_inv",
     "DlogTable",
+    "PowTable",
     "discrete_log",
     "generate_instance",
     "validate_instance",
 ]
 
-# Full trial division below this bound decides primality of anything < 2**32
-# outright and strips small factors from larger candidates cheaply.
-_TRIAL_BOUND = 1 << 16
+# Primes below this bound are sieved at import.  They decide n < 2**16 by
+# lookup, and their ~1,024-bit block products screen larger candidates with
+# one gcd per block.
+_SIEVE_LIMIT = 1 << 16
+_BLOCK_BITS = 1024
 
-# Miller-Rabin with these bases is a proven deterministic test for all
-# n < 3_317_044_064_679_887_385_961_981 (> 2**81).
-_MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is a proven deterministic
+# test for all n < 3_317_044_064_679_887_385_961_981 (> 2**81).  The first
+# 12 are not enough: 318_665_857_834_031_151_167_461 passes them all.
+_MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_ROUNDS = 64
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
+def _small_primes() -> tuple[bytearray, tuple[tuple[int, int], ...]]:
+    """Prime flags below the sieve limit, and the primes' block products in
+    ascending order, each paired with the largest prime it holds."""
+    flags = bytearray([1]) * _SIEVE_LIMIT
     flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
+    for i in range(2, math.isqrt(_SIEVE_LIMIT - 1) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+            flags[i * i :: i] = bytes(len(range(i * i, _SIEVE_LIMIT, i)))
+    blocks = []
+    prod = 1
+    for sp in itertools.compress(range(_SIEVE_LIMIT), flags):
+        prod *= sp
+        if prod.bit_length() >= _BLOCK_BITS:
+            blocks.append((prod, sp))
+            prod = 1
+    if prod > 1:
+        blocks.append((prod, sp))
+    return flags, tuple(blocks)
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+_IS_SMALL_PRIME, _PRIME_BLOCKS = _small_primes()
+
+
+def _screen(m: int, top: int) -> bool | None:
+    """Trial division of m by the sieved primes, one gcd per block.
+
+    m is n itself or p * q, each factor above every sieved prime, so a
+    shared factor means that one of them is composite: False.  True once the blocks have passed sqrt(top)
+    with no shared factor: every divisor of m in 2..top is then prime.
+    None if the blocks run out first.
+    """
+    for block, last in _PRIME_BLOCKS:
+        if math.gcd(m, block) != 1:
+            return False
+        if last * last >= top:
+            return True
+    return None
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -83,21 +128,9 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-def is_prime(n: int) -> bool:
-    """Primality test: exact below 2**32, error < 2**-80 above.
-
-    Trial division by all primes below 2**16 first (which fully decides
-    n < 2**32), then Miller-Rabin: the proven deterministic base set below
-    ~2**81, and 64 rounds with bases derived deterministically from n
-    beyond that, keeping the test reproducible across runs.
-    """
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if sp * sp > n:
-            return True
-        if n % sp == 0:
-            return n == sp
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n with no factor below the sieve limit: the proven
+    base set below ~2**81, and 64 rounds with bases derived from n beyond."""
     if n < _MR_PROVEN_LIMIT:
         return _miller_rabin(n, _MR_PROVEN_BASES)
     base_rng = random.Random(n)
@@ -105,11 +138,38 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, bases)
 
 
+def is_prime(n: int) -> bool:
+    """Primality test: exact below 2**32, error < 2**-80 above.
+
+    A sieve lookup below 2**16; above, trial division by the primes below
+    2**16 as gcds with their block products, which decides every n below
+    65521**2 (just under 2**32).  Then Miller-Rabin: proven bases below
+    ~2**81, and bases derived deterministically from n beyond, keeping the
+    test reproducible across runs.
+    """
+    if n < _SIEVE_LIMIT:
+        return n >= 2 and _IS_SMALL_PRIME[n] == 1
+    screened = _screen(n, n)
+    if screened is not None:
+        return screened
+    return _probable_prime(n)
+
+
 def is_safe_prime(p: int) -> bool:
-    """True iff p and (p - 1) / 2 are both prime."""
+    """True iff p and (p - 1) / 2 are both prime.
+
+    Beyond the sieve, p and q are screened together, one gcd of p * q per
+    block, before either gets a Miller-Rabin test.
+    """
     if p < 5 or p % 2 == 0:
         return False
-    return is_prime(p) and is_prime((p - 1) // 2)
+    q = (p - 1) // 2
+    if q < _SIEVE_LIMIT:
+        return is_prime(p) and is_prime(q)
+    screened = _screen(p * q, p)
+    if screened is not None:
+        return screened
+    return _probable_prime(p) and _probable_prime(q)
 
 
 def safe_primes_below(limit: int, odd_q_only: bool = False) -> list[int]:
@@ -196,6 +256,47 @@ class DlogTable:
                 return canonical_exponent(i * m + baby[cur], self.q)
             cur = cur * stride % p
         raise ValueError(f"{y} is not a power of the table's base mod {p}")
+
+
+# Exponent bits per PowTable row: a power costs one multiplication per
+# window, a table 2**_POW_WINDOW entries per row.
+_POW_WINDOW = 8
+
+
+class PowTable:
+    """Fixed-base powers of ``base`` mod p for exponents below 2**e_bits.
+
+    Row k holds base**(j * 2**(W*k)) for j < 2**W, W = ``_POW_WINDOW``
+    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), so a power is
+    one multiplication per W exponent bits instead of builtin ``pow``'s
+    square-and-multiply.  Building costs 2**W multiplications per row; it
+    pays back only when many powers share the base, so callers that
+    exponentiate once use ``pow``.
+    """
+
+    def __init__(self, p: int, base: int, e_bits: int):
+        self.p = p
+        rows = []
+        step = base
+        for _ in range(-(-e_bits // _POW_WINDOW)):
+            row = [1] * (1 << _POW_WINDOW)
+            acc = 1
+            for j in range(1, 1 << _POW_WINDOW):
+                acc = acc * step % p
+                row[j] = acc
+            rows.append(row)
+            step = acc * step % p
+        self.rows = rows
+
+    def pow(self, e: int) -> int:
+        """base**e mod p, for 0 <= e < 2**e_bits."""
+        p = self.p
+        mask = (1 << _POW_WINDOW) - 1
+        acc = 1
+        for row in self.rows:
+            acc = acc * row[e & mask] % p
+            e >>= _POW_WINDOW
+        return acc
 
 
 def discrete_log(p: int, base: int, y: int, engine: str = "bsgs") -> int:

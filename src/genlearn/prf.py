@@ -12,6 +12,18 @@ g or g_a is a residue (instances are built only by ``generate_instance``
 or ``validate_instance``), so each level folds with ``min(y, p - y)``
 instead of the Euler-checked ``f_p``.
 
+Each level costs one modular power, taken one of two ways:
+
+* ``ggm_walk`` calls builtin ``pow``.  It serves every single walk:
+  ``prf_eval``, the oracles, and any function evaluated once, such as the
+  spec the games' reduction learner returns.  Building tables there would
+  cost more than the walk saves.
+* ``KeyedWalker`` serves one (instance, key) walked many times, as
+  ``kgen_spec`` and ``gen_spec`` are by ``sample`` and exact tables.  Its
+  first walk is ``prf_eval``; its second builds a ``numtheory.PowTable``
+  for g and one for g_a, and every later level is a table power (at
+  n = 64, about 3.4 us against 22 us for ``pow``).
+
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.
 """
@@ -21,13 +33,14 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .numtheory import GroupInstance
+from .numtheory import GroupInstance, PowTable
 
 __all__ = [
     "QueryBudgetExceeded",
     "check_bits",
     "ggm_walk",
     "prf_eval",
+    "KeyedWalker",
     "LazyRandomFunction",
     "MembershipOracle",
     "RandomExampleOracle",
@@ -68,6 +81,42 @@ def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     if len(x) != inst.n:
         raise ValueError(f"bitstring {x!r} has length {len(x)}, expected {inst.n}")
     return ggm_walk(inst, key, x)
+
+
+class KeyedWalker:
+    """F(key, x) for one (instance, key), for callers that walk it many times.
+
+    The first walk is ``prf_eval``, with builtin ``pow`` and nothing built,
+    so a function evaluated once costs no more than a single walk.  The
+    second builds one ``PowTable`` for g and one for g_a, and it and every
+    later walk take each level's power from them.
+    """
+
+    def __init__(self, inst: GroupInstance, key: int):
+        self.inst = inst
+        self.key = key
+        self.walks = 0
+        self.tables: tuple[PowTable, PowTable] | None = None
+
+    def __call__(self, x: str) -> int:
+        inst = self.inst
+        if self.walks == 0:
+            value = prf_eval(inst, self.key, x)
+            self.walks = 1
+            return value
+        # The first walk checked the key; each input is still checked.
+        check_bits(x, inst.n)
+        if self.tables is None:
+            e_bits = inst.q.bit_length()
+            self.tables = (PowTable(inst.p, inst.g, e_bits), PowTable(inst.p, inst.g_a, e_bits))
+        self.walks += 1
+        p = inst.p
+        pow_g, pow_g_a = self.tables[0].pow, self.tables[1].pow
+        b = self.key
+        for ch in x:
+            y = pow_g(b) if ch == "0" else pow_g_a(b)
+            b = min(y, p - y)
+        return b
 
 
 class LazyRandomFunction:

@@ -228,3 +228,16 @@ class TestEntryPoint:
             )
             assert proc.returncode == 0
             assert "--" in proc.stdout
+
+    def test_import_leaves_openssl_unloaded(self, cli_env):
+        # Subseeds use the interpreter's built-in SHA-256; importing hashlib
+        # would load OpenSSL's libcrypto into every command.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, genlearn.cli; print('_hashlib' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlearn import distributions as dist
-from genlearn.numtheory import generate_instance
+from genlearn import prf
+from genlearn.numtheory import PowTable, generate_instance
 from genlearn.prf import prf_eval
 from genlearn.seeding import make_rng
 
@@ -73,6 +74,51 @@ class TestGeneratorEvals:
         bad = dist.GeneratorSpec(seed_bits=2, out_bits=3, eval_fn=lambda s: s, kind="custom")
         with pytest.raises(ValueError):
             bad.eval("01")
+
+
+class TestSpecWalks:
+    @pytest.mark.parametrize("n", [3, 12, 64])
+    def test_first_second_and_fiftieth_eval(self, n):
+        inst = generate_instance(n, make_rng(n, "spec-walks"))
+        rng = random.Random(n)
+        key = rng.randint(1, inst.q)
+        specs = ((dist.kgen_spec(inst, key), dist.kgen_eval),
+                 (dist.gen_spec(inst, key), dist.gen_eval))
+        for spec, reference in specs:
+            for i in range(1, 51):
+                x = format(rng.getrandbits(n), f"0{n}b")
+                out = spec.eval(x)
+                if i in (1, 2, 50):
+                    assert out == reference(inst, key, x), (spec.kind, i)
+
+    def test_one_table_pair_per_repeated_spec(self, monkeypatch):
+        # Tables are built on a spec's second walk, one for g and one for
+        # g_a, and shared by every later walk; a spec walked once builds none.
+        built = []
+
+        class CountingTable(PowTable):
+            def __init__(self, p, base, e_bits):
+                super().__init__(p, base, e_bits)
+                built.append(base)
+
+        monkeypatch.setattr(prf, "PowTable", CountingTable)
+        inst = generate_instance(12, make_rng(3, "table-count"))
+        for make in (dist.kgen_spec, dist.gen_spec):
+            once = make(inst, 5)
+            once.eval("0" * 12)
+            assert built == []
+            many = make(inst, 5)
+            for v in range(50):
+                many.eval(dist.bin_n(v, 12))
+            assert sorted(built) == sorted([inst.g, inst.g_a])
+            built.clear()
+        dist.exact_table(dist.kgen_spec(inst, 7))
+        assert sorted(built) == sorted([inst.g, inst.g_a])
+        built.clear()
+        oracle = dist.SampleOracle(dist.gen_spec(inst, 7), random.Random(1))
+        for _ in range(50):
+            oracle.sample()
+        assert sorted(built) == sorted([inst.g, inst.g_a])
 
 
 class TestSampleOracle:

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from genlearn import games
+from genlearn import games, prf
 from genlearn.distributions import uniform_spec
 from genlearn.prf import MembershipOracle, prf_eval
 
@@ -180,6 +180,22 @@ class TestLearnerInferenceReduction:
         # 1 - |X|/2^n minus a small collision allowance.
         a_freq = cases.count("a") / len(cases)
         assert a_freq >= 1 - 1 / 256 - 0.02
+
+    def test_learned_spec_walked_once_builds_no_tables(self, monkeypatch):
+        # The exact learner's spec is evaluated once per trial, which is
+        # cheaper with builtin pow than with fixed-base tables.
+        built = []
+
+        class CountingTable(prf.PowTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
+
+        monkeypatch.setattr(prf, "PowTable", CountingTable)
+        reduction = games.learner_to_inference(games.exact_generator_learner, form="gen")
+        games.run_inference_game(reduction, 8, 50, seed=25)
+        assert reduction.case_log.count("a") >= 45
+        assert built == []
 
     def test_uniform_learner_near_half(self):
         reduction = games.learner_to_inference(games.uniform_distribution_learner, form="kgen")

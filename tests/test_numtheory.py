@@ -44,6 +44,61 @@ class TestPrimality:
         assert not nt.is_prime(m89 - 1)
         assert not nt.is_prime(m89 * ((1 << 61) - 1))
 
+    def test_is_prime_matches_sympy_below_2_17(self):
+        sympy = pytest.importorskip("sympy")
+        primes = set(sympy.primerange(1 << 17))
+        for n in range(-3, 1 << 17):
+            assert nt.is_prime(n) == (n in primes), n
+
+    def test_is_prime_matches_sympy_at_screen_edges(self):
+        sympy = pytest.importorskip("sympy")
+        around = [c + d for c in (1 << 16, 1 << 32, 65521**2) for d in range(-300, 301)]
+        special = [
+            65521 * 65537,  # largest sieved prime times the first prime past it
+            65537**2,
+            65521**2,
+            65537 * 65539,
+            (1 << 32) + 15,  # the first prime above 2**32
+            561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,  # Carmichael
+            321197185, 5394826801, 232250619601, 9746347772161,  # Carmichael
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            3825123056546413051,  # strong pseudoprime to the primes up to 23
+            318665857834031151167461,  # strong pseudoprime to the primes up to 37
+        ]
+        for n in around + special:
+            assert nt.is_prime(n) == sympy.isprime(n), n
+
+    def test_is_prime_matches_sympy_random(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2003)
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randrange(16, 129))
+            assert nt.is_prime(n) == sympy.isprime(n), n
+            # Odd candidates with no factor below 2**16 reach Miller-Rabin.
+            m = n | 1
+            assert nt.is_prime(m) == sympy.isprime(m), m
+
+    def test_is_safe_prime_matches_sympy_below_2_18(self):
+        # Covers the switch at q = 2**16 from sieve lookups to the p * q screen.
+        sympy = pytest.importorskip("sympy")
+        primes = set(sympy.primerange(1 << 18))
+        for p in range(-3, 1 << 18):
+            want = p >= 5 and p in primes and (p - 1) // 2 in primes
+            assert nt.is_safe_prime(p) == want, p
+
+    def test_is_safe_prime_matches_sympy_random(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(186)
+        for _ in range(3000):
+            p = rng.getrandbits(rng.randrange(20, 65)) | 1
+            want = p >= 5 and sympy.isprime(p) and sympy.isprime((p - 1) // 2)
+            assert nt.is_safe_prime(p) == want, p
+        for n in range(20, 65, 4):
+            p = nt.generate_instance(n, make_rng(n, "safe-prime-oracle")).p
+            assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
+            assert nt.is_safe_prime(p)
+            assert not nt.is_safe_prime(p + 2)
+
     def test_safe_primes_below_matches_oracle(self):
         oracle = [
             p
@@ -64,6 +119,23 @@ class TestInstanceGeneration:
     def test_four_bit_instance_unique(self):
         inst = nt.generate_instance(4, make_rng(0, "t"))
         assert inst.p == 11  # 11 = 2*5 + 1 is the only 4-bit safe prime
+
+    # (n, master seed) -> (p, g, g_a, a): the seed -> instance mapping, pinned.
+    GOLDEN = {
+        (16, 1): (34583, 8124, 9090, 10592),
+        (16, 7): (49499, 11098, 44991, 2154),
+        (32, 1): (2339872259, 2121911756, 1602184232, 75875148),
+        (32, 42): (3064510523, 1112426711, 1833549731, 1370475267),
+        (64, 1): (12403613323122845207, 11229333896987404955, 7070751393458739516,
+                  2250013372498504482),
+        (64, 7): (18204461091558014723, 13369086853249215632, 4383459336723343458,
+                  5202410906276861108),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(GOLDEN))
+    def test_golden_instances(self, n, seed):
+        inst = nt.generate_instance(n, make_rng(seed, "instance"), keep_secret=True)
+        assert (inst.p, inst.g, inst.g_a, inst.a_secret) == self.GOLDEN[n, seed]
 
     def test_two_bit_rejected(self):
         with pytest.raises(ValueError):
@@ -277,3 +349,30 @@ class TestDlogTable:
         table = nt.DlogTable(inst.p, inst.g)
         for e in (1, 2, inst.q - 1, inst.q, 12345, inst.q // 2):
             assert table.log(pow(inst.g, e, inst.p)) == e
+
+
+class TestPowTable:
+    @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
+    def test_matches_pow_exhaustive(self, p):
+        q = (p - 1) // 2
+        for base in (2, 3, 4, p - 2, p - 1):
+            for e_bits in (1, 5, 6, 7, 12, q.bit_length()):
+                table = nt.PowTable(p, base, e_bits)
+                for e in range(1 << e_bits):
+                    assert table.pow(e) == pow(base, e, p), (base, e_bits, e)
+
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_matches_pow_random_wide(self, n):
+        inst = nt.generate_instance(n, make_rng(n, "pow-table"))
+        e_bits = n - 1  # 64 and 128 exponent bits
+        rng = random.Random(n)
+        window = nt._POW_WINDOW
+        top = (e_bits - 1) // window * window  # lowest bit of the top window
+        for base in (inst.g, inst.g_a, 2):
+            table = nt.PowTable(inst.p, base, e_bits)
+            exponents = [rng.getrandbits(e_bits) for _ in range(300)]
+            exponents += [0, 1, inst.q, (1 << e_bits) - 1]
+            exponents += [j << top for j in range(1, 1 << (e_bits - top))]
+            for e in exponents:
+                assert table.pow(e) == pow(base, e, inst.p), e
+        assert nt.PowTable(inst.p, inst.g, e_bits).pow(inst.q) == 1

@@ -108,6 +108,42 @@ class TestKeyedFunction:
         assert differing / trials > 0.99
 
 
+class TestKeyedWalker:
+    @pytest.mark.parametrize("n", [3, 6, 16, 32, 64])
+    def test_every_walk_matches_prf_eval(self, n):
+        # Walk 1 is prf_eval itself; walks 2 and on use the tables.
+        for seed in range(3):
+            inst = generate_instance(n, make_rng(seed, "keyed-walker"))
+            rng = random.Random(seed)
+            for key in (1, inst.q, rng.randint(1, inst.q)):
+                walk = prf.KeyedWalker(inst, key)
+                for i in range(50):
+                    x = format(rng.getrandbits(n), f"0{n}b")
+                    assert walk(x) == prf.prf_eval(inst, key, x), (key, x, i)
+                assert walk.walks == 50 and walk.tables is not None
+
+    def test_inputs_checked_on_every_walk(self, inst7):
+        walk = prf.KeyedWalker(inst7, 2)
+        for bad in ("0000", "01x", "01"):
+            with pytest.raises(ValueError):
+                walk(bad)
+        assert walk.walks == 0
+        assert walk("101") == 1
+        for bad in ("0000", "01x", "01"):
+            with pytest.raises(ValueError):
+                walk(bad)
+        assert walk.tables is None  # no tables for a walk that was refused
+        assert walk("101") == 1 and walk.tables is not None
+
+    def test_key_checked_on_first_walk(self, inst7):
+        for key in (0, 4, -1):
+            walk = prf.KeyedWalker(inst7, key)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    walk("101")
+            assert walk.walks == 0 and walk.tables is None
+
+
 class TestLazyRandomFunction:
     def test_memoized(self):
         fn = prf.LazyRandomFunction(4, 11, random.Random(3))
