@@ -57,15 +57,6 @@ class BoolFn:
             raise ValueError(f"input {bits!r} is not {self.n} bits")
         return self.table[int(bits, 2)]
 
-    def to_hex(self) -> str:
-        """The table packed big-endian into hex (width ceil(2^n / 4))."""
-        return format(int(self.table, 2), f"0{-(-len(self.table) // 4)}x")
-
-    @classmethod
-    def from_hex(cls, n: int, hexstr: str) -> "BoolFn":
-        size = 1 << n
-        return cls(n, format(int(hexstr, 16), f"0{size}b"))
-
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "BoolFn":
         return cls(n, format(rng.getrandbits(1 << n), f"0{1 << n}b"))
@@ -91,12 +82,6 @@ class Permutation:
             raise ValueError(f"input {bits!r} is not {self.m} bits")
         return bin_n(self.mapping[int(bits, 2)], self.m)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other)).apply(x) = self(other(x))."""
-        if self.m != other.m:
-            raise ValueError("permutation sizes differ")
-        return Permutation(self.m, tuple(self.mapping[v] for v in other.mapping))
-
     @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(m, tuple(range(1 << m)))
@@ -114,7 +99,6 @@ def gen_from_function(c: BoolFn) -> GeneratorSpec:
         seed_bits=c.n,
         out_bits=c.n + 1,
         eval_fn=lambda x: x + c(x),
-        kind="boolfn",
     )
 
 
@@ -139,7 +123,6 @@ def padded_generator(c: BoolFn, m: int) -> GeneratorSpec:
         seed_bits=m,
         out_bits=c.n + 1,
         eval_fn=lambda s: s[: c.n] + c(s[: c.n]),
-        kind="padded",
     )
 
 
@@ -152,7 +135,6 @@ def permuted_generator(c: BoolFn, m: int, perm: Permutation) -> GeneratorSpec:
         seed_bits=m,
         out_bits=c.n + 1,
         eval_fn=lambda s: padded.eval(perm.apply(s)),
-        kind="permuted",
     )
 
 
@@ -170,7 +152,7 @@ def optimal_short_generator(c: BoolFn, m: int) -> GeneratorSpec:
         x = bin_n(int(seed, 2), c.n)
         return x + c(x)
 
-    return GeneratorSpec(seed_bits=m, out_bits=c.n + 1, eval_fn=eval_fn, kind="custom")
+    return GeneratorSpec(seed_bits=m, out_bits=c.n + 1, eval_fn=eval_fn)
 
 
 @dataclass(frozen=True)
@@ -193,17 +175,6 @@ class ExactGeneratorReport:
     @property
     def exact_count(self) -> int:
         return len(self.exact_functions)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "total_functions": self.total_functions,
-            "exact_count": self.exact_count,
-            "raw_permutation_count": self.raw_permutation_count,
-            "distinct_permuted_count": self.distinct_permuted_count,
-            "matches_characterization": self.matches_characterization,
-        }
 
 
 def classify_exact_generators(c: BoolFn, m: int) -> ExactGeneratorReport:

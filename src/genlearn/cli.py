@@ -3,7 +3,8 @@
 Every command is fully determined by its flags plus the master seed:
 sub-task seeds are split off with SHA-256 (see :mod:`genlearn.seeding`),
 so repeated runs are byte-identical.  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage or parse error.
+verification suite failed, 2 usage or parse error or an exhausted
+safe-prime search.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def cmd_learn(args) -> int:
 def cmd_game(args) -> int:
     if args.game == "distinguish":
         adversary = {
-            "keylearner": key_learner_adversary(engine=args.engine),
+            "keylearner": key_learner_adversary(),
             "constant": make_constant_adversary(1),
             "coinflip": coin_flip_adversary,
         }[args.adversary]
@@ -136,20 +137,15 @@ def cmd_game(args) -> int:
         ).to_dict()
     elif args.game == "infer":
         factory = {
-            "keylearner": lambda: KeyLearnerStrategy(engine=args.engine),
+            "keylearner": KeyLearnerStrategy,
             "random": RandomGuessStrategy,
         }[args.strategy]
         result = run_inference_game(factory, args.n, args.trials, args.seed).to_dict()
     else:  # reduction
         if args.learner == "exact":
-            learner_fn = lambda oracle, n, eps, delta, rng: exact_generator_learner(
-                oracle, n, eps, delta, rng, engine=args.engine
-            )
-            form = "gen"
+            reduction = learner_to_inference(exact_generator_learner, form="gen")
         else:
-            learner_fn = uniform_distribution_learner
-            form = "kgen"
-        reduction = learner_to_inference(learner_fn, form=form)
+            reduction = learner_to_inference(uniform_distribution_learner, form="kgen")
         result = run_inference_game(
             reduction, args.n, args.trials, args.seed, game_name="reduction"
         ).to_dict()
@@ -334,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="keylearner")
     p.add_argument("--strategy", choices=("keylearner", "random"), default="keylearner")
     p.add_argument("--learner", choices=("exact", "uniform"), default="exact")
-    p.add_argument("--engine", choices=("brute", "bsgs"), default="bsgs")
     common(p)
     p.set_defaults(func=cmd_game)
 

@@ -68,13 +68,12 @@ class GeneratorSpec:
     """Executable description of a classical generator.
 
     ``eval_fn`` must be total on {0,1}^seed_bits and produce strings of
-    exactly ``out_bits`` bits; ``kind`` tags the construction variant.
+    exactly ``out_bits`` bits.
     """
 
     seed_bits: int
     out_bits: int
     eval_fn: Callable[[str], str]
-    kind: str = "custom"
 
     def eval(self, seed: str) -> str:
         check_bits(seed, self.seed_bits)
@@ -121,7 +120,6 @@ def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
         seed_bits=n,
         out_bits=2 * n,
         eval_fn=lambda x: x + bin_n(walk(x), n),
-        kind="kgen",
     )
 
 
@@ -133,13 +131,12 @@ def gen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
         seed_bits=inst.n,
         out_bits=5 * inst.n,
         eval_fn=lambda x: kgen(x) + suffix,
-        kind="gen",
     )
 
 
 def uniform_spec(width: int) -> GeneratorSpec:
     """The identity generator: uniform over ``width``-bit strings."""
-    return GeneratorSpec(seed_bits=width, out_bits=width, eval_fn=lambda s: s, kind="custom")
+    return GeneratorSpec(seed_bits=width, out_bits=width, eval_fn=lambda s: s)
 
 
 class SampleOracle:

@@ -53,7 +53,6 @@ __all__ = [
     "ReplayStrategy",
     "exact_generator_learner",
     "uniform_distribution_learner",
-    "LearnerInferenceReduction",
     "learner_to_inference",
 ]
 
@@ -83,19 +82,22 @@ def _random_bits(rng: random.Random, n: int) -> str:
 class AdvantageEstimate:
     """Acceptance rates of an adversary against the two arms of the game.
 
-    ``trials`` is the total count, split evenly; ``ci_halfwidth`` is the
-    99% Hoeffding half-width for the *difference* of the two independent
-    rates (twice the single-rate half-width at trials/2).
+    ``trials`` is the total count, split evenly; rates are over each arm's
+    valid trials, and ``ci_halfwidth`` is the 99% Hoeffding half-width for
+    the *difference* of the two independent rates (the sum of the
+    single-rate half-widths at the two valid counts).  An arm with no
+    valid trials has no rate: it, the advantage and the half-width are
+    ``None``.
     """
 
     game: str
     flavor: str
     n: int
     trials: int
-    p_real: float
-    p_random: float
-    advantage: float
-    ci_halfwidth: float
+    p_real: float | None
+    p_random: float | None
+    advantage: float | None
+    ci_halfwidth: float | None
     invalid_real: int
     invalid_random: int
     seed: int
@@ -166,10 +168,11 @@ def run_distinguisher_game(
 
     accepts_real, invalid_real = run_arm("real")
     accepts_random, invalid_random = run_arm("random")
-    valid_real = max(per_arm - invalid_real, 1)
-    valid_random = max(per_arm - invalid_random, 1)
-    p_real = accepts_real / valid_real
-    p_random = accepts_random / valid_random
+    valid_real = per_arm - invalid_real
+    valid_random = per_arm - invalid_random
+    p_real = accepts_real / valid_real if valid_real else None
+    p_random = accepts_random / valid_random if valid_random else None
+    both = valid_real and valid_random
     return AdvantageEstimate(
         game="distinguish",
         flavor=flavor,
@@ -177,15 +180,17 @@ def run_distinguisher_game(
         trials=trials,
         p_real=p_real,
         p_random=p_random,
-        advantage=p_real - p_random,
-        ci_halfwidth=2 * hoeffding_halfwidth(per_arm),
+        advantage=p_real - p_random if both else None,
+        ci_halfwidth=(
+            hoeffding_halfwidth(valid_real) + hoeffding_halfwidth(valid_random) if both else None
+        ),
         invalid_real=invalid_real,
         invalid_random=invalid_random,
         seed=seed,
     )
 
 
-def key_learner_adversary(engine: str = "bsgs"):
+def key_learner_adversary():
     """Adversary that recovers a key from one example and spot-checks it.
 
     Works against both flavors: under "mq" it picks its own probe points,
@@ -210,7 +215,7 @@ def key_learner_adversary(engine: str = "bsgs"):
                 x2, v2 = oracle.draw()
                 if x2 != x1:
                     break
-        key = learn_key(params, x1, v1, engine=engine)
+        key = learn_key(params, x1, v1)
         return 1 if prf_eval(params, key, x2) == v2 else 0
 
     return adversary
@@ -255,8 +260,8 @@ class InferenceResult:
     passes: int
     violations: int
     invalid: int
-    pass_rate: float
-    ci_halfwidth: float
+    pass_rate: float | None
+    ci_halfwidth: float | None
     seed: int
     transcripts: tuple[InferenceTranscript, ...] | None = None
 
@@ -291,7 +296,9 @@ def run_inference_game(
     protocol violation, scored as a failed trial), draws the decoy value
     uniformly from {1, ..., q}, and shuffles the pair before presenting
     it.  A budget overrun in ``choose_exam`` invalidates the trial; any
-    other exception from the strategy propagates.
+    other exception from the strategy propagates.  The rate and its
+    Hoeffding half-width are over the scored (not invalid) trials, and
+    ``None`` when there are none.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -330,7 +337,7 @@ def run_inference_game(
             passed = guess == true_index
             passes += 1 if passed else 0
         if keep_transcripts:
-            queries = tuple((entry["query"], entry["response"]) for entry in oracle.transcript)
+            queries = tuple(oracle.transcript)
             transcripts.append(
                 InferenceTranscript(queries, exam, pair, true_index, guess, passed, violation)
             )
@@ -343,8 +350,8 @@ def run_inference_game(
         passes=passes,
         violations=violations,
         invalid=invalid,
-        pass_rate=passes / scored if scored else 0.0,
-        ci_halfwidth=hoeffding_halfwidth(max(scored, 1)),
+        pass_rate=passes / scored if scored else None,
+        ci_halfwidth=hoeffding_halfwidth(scored) if scored else None,
         seed=seed,
         transcripts=tuple(transcripts) if keep_transcripts else None,
     )
@@ -358,14 +365,12 @@ class KeyLearnerStrategy:
     is then two equal numbers and the shuffled index is a coin toss).
     """
 
-    def __init__(self, engine: str = "bsgs"):
-        self.engine = engine
-        self._predicted: int | None = None
+    _predicted: int | None = None
 
     def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
         x1 = _random_bits(rng, params.n)
         v1 = oracle.query(x1)
-        key = learn_key(params, x1, v1, engine=self.engine)
+        key = learn_key(params, x1, v1)
         while True:
             exam = _random_bits(rng, params.n)
             if exam != x1:
@@ -408,10 +413,10 @@ class ReplayStrategy:
 # ---------------------------------------------------------------------------
 
 
-def exact_generator_learner(oracle, n: int, epsilon, delta, rng, engine: str = "bsgs"):
+def exact_generator_learner(oracle, n: int, epsilon, delta, rng):
     """Generator learner backed by one-sample exact key recovery (needs
     parameter-suffix samples)."""
-    return pac_generator_learn(oracle, epsilon, delta, engine=engine).spec
+    return pac_generator_learn(oracle, epsilon, delta).spec
 
 
 def uniform_distribution_learner(oracle, n: int, epsilon, delta, rng) -> GeneratorSpec:
@@ -424,107 +429,91 @@ class _SimulatedSampleOracle:
 
     Each sample draws x uniformly, queries the keyed function, and returns
     x || BIN_n(F(k,x)), with the parameter suffix appended in "gen" form.
-    The points used are recorded: the wrapped learner's whole view of the
-    function flows through here.
+    The wrapped learner's whole view of the function flows through here,
+    so the membership handle's ``queried`` set is exactly the points used.
     """
 
     def __init__(self, params: GroupInstance, mq: MembershipOracle, form: str, rng):
-        if form not in ("kgen", "gen"):
-            raise ValueError(f"unknown sample form {form!r}")
         self._params = params
         self._mq = mq
-        self._form = form
         self._rng = rng
         self._suffix = encode_params(params) if form == "gen" else ""
-        self.used: list[str] = []
 
     @property
     def count(self) -> int:
-        return len(self.used)
+        return self._mq.count
 
     def sample(self) -> str:
         n = self._params.n
         x = _random_bits(self._rng, n)
         value = self._mq.query(x)
-        self.used.append(x)
         return x + bin_n(value, n) + self._suffix
 
 
-class LearnerInferenceReduction:
-    """Wrap a generator learner as an inference strategy factory.
-
-    Per trial: simulate the learner's sample oracle via membership
-    queries, draw one string x || y from the generator it returns, then
-    play out three cases: a fresh x becomes the exam and y is matched
-    against the presented pair (case a/b); a reused x, or a learner
-    failure, falls back to a fresh random exam and a coin-flip guess
-    (case c).  ``case_log`` collects one of "a"/"b"/"c" per trial.
+class _Reduction:
+    """A generator learner played as an inference strategy; see
+    ``learner_to_inference``.  It is its own factory: each trial's
+    ``choose_exam`` resets the value that ``guess`` reads.
     """
 
-    def __init__(self, dist_learner, epsilon: float | None = None, delta: float = 0.5,
-                 form: str = "gen"):
-        if form not in ("kgen", "gen"):
-            raise ValueError(f"unknown sample form {form!r}")
+    def __init__(self, dist_learner, epsilon: float | None, delta: float, form: str):
         self.dist_learner = dist_learner
         self.epsilon = epsilon
         self.delta = delta
         self.form = form
         self.case_log: list[str] = []
-
-    def __call__(self):
-        return _ReductionStrategy(self)
-
-
-class _ReductionStrategy:
-    def __init__(self, owner: LearnerInferenceReduction):
-        self._owner = owner
         self._y: int | None = None
-        self._case = "c"
+
+    def __call__(self) -> "_Reduction":
+        return self
 
     def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
-        owner = self._owner
         n = params.n
         # Default accuracy targets handed to the learner: log2(n) and 1/2.
-        epsilon = owner.epsilon if owner.epsilon is not None else math.log2(n)
-        sim = _SimulatedSampleOracle(params, oracle, owner.form, rng)
-        sample_x: str | None = None
+        epsilon = self.epsilon if self.epsilon is not None else math.log2(n)
+        sim = _SimulatedSampleOracle(params, oracle, self.form, rng)
         try:
-            spec = owner.dist_learner(sim, n, epsilon, owner.delta, rng)
+            spec = self.dist_learner(sim, n, epsilon, self.delta, rng)
             drawn = spec.eval(_random_bits(rng, spec.seed_bits))
-            sample_x = drawn[:n]
             self._y = bits_to_int(drawn[n : 2 * n])
         except ValueError:
-            sample_x = None  # learner failure: uniform-guess fallback
-            self._y = None
-        used = set(sim.used)
-        if sample_x is not None and sample_x not in used:
-            self._case = "a_or_b"
-            return sample_x
-        self._case = "c"
+            drawn = None  # learner failure: uniform-guess fallback
+        if drawn is not None and drawn[:n] not in oracle.queried:
+            return drawn[:n]
         self._y = None
         while True:
             exam = _random_bits(rng, n)
-            if exam not in used:
+            if exam not in oracle.queried:
                 return exam
 
     def guess(self, pair: tuple[int, int], rng) -> int:
-        case = self._case
         guess = rng.randrange(2)
-        if self._y is not None:
-            match0 = pair[0] == self._y
-            match1 = pair[1] == self._y
-            if match0 or match1:
-                case = "a"
-                if match0 != match1:
-                    guess = 0 if match0 else 1
-            else:
-                case = "b"
-        self._owner.case_log.append(case)
+        if self._y is None:
+            case = "c"
+        elif self._y in pair:
+            case = "a"
+            if pair[0] != pair[1]:
+                guess = pair.index(self._y)
+        else:
+            case = "b"
+        self.case_log.append(case)
         return guess
 
 
 def learner_to_inference(
     dist_learner, epsilon: float | None = None, delta: float = 0.5, form: str = "gen"
-) -> LearnerInferenceReduction:
-    """Convenience constructor mirroring the class; see LearnerInferenceReduction."""
-    return LearnerInferenceReduction(dist_learner, epsilon=epsilon, delta=delta, form=form)
+) -> _Reduction:
+    """Wrap a generator learner as an inference strategy factory.
+
+    Per trial: simulate the learner's sample oracle via membership
+    queries ("gen" samples carry the parameter suffix, "kgen" samples do
+    not), draw one string x || y from the generator it returns, then play
+    out three cases: a fresh x becomes the exam and y is matched against
+    the presented pair (case a/b); a reused x, or a learner failure, falls
+    back to a fresh random exam and a coin-flip guess (case c).
+    ``case_log`` on the returned object collects one of "a"/"b"/"c" per
+    trial.
+    """
+    if form not in ("kgen", "gen"):
+        raise ValueError(f"unknown sample form {form!r}")
+    return _Reduction(dist_learner, epsilon, delta, form)

@@ -117,11 +117,7 @@ def learn_from_sample(sample: str, engine: str = "bsgs", max_n: int = 40) -> Lea
 
 
 def pac_generator_learn(
-    oracle: SampleOracle,
-    epsilon: float | None = None,
-    delta: float | None = None,
-    engine: str = "bsgs",
-    max_n: int = 40,
+    oracle: SampleOracle, epsilon: float | None = None, delta: float | None = None
 ) -> LearnedGenerator:
     """Learn the exact generator behind a SAMPLE handle from one draw.
 
@@ -134,5 +130,5 @@ def pac_generator_learn(
     del epsilon, delta
     before = oracle.count
     sample = oracle.sample()
-    learned = learn_from_sample(sample, engine=engine, max_n=max_n)
+    learned = learn_from_sample(sample)
     return replace(learned, samples_used=oracle.count - before)

@@ -407,8 +407,11 @@ def validate_instance(
     return GroupInstance(n=n, p=p, q=q, g=g, g_a=g_a, a_secret=a_secret)
 
 
-class SearchBudgetError(RuntimeError):
-    """No safe prime found within the rejection-sampling budget."""
+class SearchBudgetError(ValueError):
+    """No safe prime found within the rejection-sampling budget.
+
+    A ``ValueError``: the budget is part of the request, so the CLI reports
+    it as a usage error (exit 2), not as a crash or a failed check."""
 
 
 def generate_instance(

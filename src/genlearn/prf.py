@@ -149,7 +149,7 @@ class MembershipOracle:
         self.max_queries = max_queries
         self.count = 0
         self.queried: set[str] = set()
-        self.transcript: list[dict] = []
+        self.transcript: list[tuple[str, int]] = []
 
     def query(self, x: str) -> int:
         check_bits(x, self.n_bits)
@@ -158,7 +158,7 @@ class MembershipOracle:
         self.count += 1
         value = self._fn(x)
         self.queried.add(x)
-        self.transcript.append({"query": x, "response": value})
+        self.transcript.append((x, value))
         return value
 
 

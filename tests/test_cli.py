@@ -1,9 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from genlearn import games, numtheory
 from genlearn.cli import build_parser, main
 
 
@@ -175,6 +177,30 @@ class TestGameCommand:
             main(["game", "--game", "poker"])
         assert exc.value.code == 2
 
+    def test_engine_option_is_gone(self, capsys):
+        # Games always recover keys with the default engine; only `learn`
+        # keeps --engine for the brute-force reference.
+        with pytest.raises(SystemExit) as exc:
+            main(["game", "--game", "distinguish", "--engine", "brute"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("argv", [
+        ("instance", "--n", "64", "--seed", "1"),
+        ("game", "--game", "distinguish", "--n", "32", "--trials", "2", "--seed", "1"),
+    ])
+    def test_exhausted_search_is_usage_error(self, argv, monkeypatch, capsys):
+        # One candidate per search: both commands run out of attempts.
+        one_attempt = functools.partial(numtheory.generate_instance, max_attempts=1)
+        monkeypatch.setattr(numtheory, "generate_instance", one_attempt)
+        monkeypatch.setattr(games, "generate_instance", one_attempt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: no ") and "safe prime" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_boollemmas_suite_passes(self, capsys):
@@ -191,6 +217,74 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "numerology"])
         assert exc.value.code == 2
+
+
+# Seeded stdout captured before the games layer was pruned; a refactor must
+# reproduce it byte for byte, not only rerun-equal (acceptance criterion 12).
+_CI_ARMS, _CI_ONE = 0.7278954160144187, 0.25734989232919925
+GOLDEN_GAMES = [
+    (["--game", "distinguish", "--adversary", "keylearner", "--flavor", "mq"],
+     {"game": "distinguish", "flavor": "mq", "n": 6, "trials": 40, "p_real": 1.0,
+      "p_random": 0.0, "advantage": 1.0, "ci": _CI_ARMS, "invalid_real": 0,
+      "invalid_random": 0, "seed": 12}),
+    (["--game", "distinguish", "--adversary", "keylearner", "--flavor", "pex"],
+     {"game": "distinguish", "flavor": "pex", "n": 6, "trials": 40, "p_real": 1.0,
+      "p_random": 0.05, "advantage": 0.95, "ci": _CI_ARMS, "invalid_real": 0,
+      "invalid_random": 0, "seed": 12}),
+    (["--game", "distinguish", "--adversary", "constant"],
+     {"game": "distinguish", "flavor": "mq", "n": 6, "trials": 40, "p_real": 1.0,
+      "p_random": 1.0, "advantage": 0.0, "ci": _CI_ARMS, "invalid_real": 0,
+      "invalid_random": 0, "seed": 12}),
+    (["--game", "distinguish", "--adversary", "coinflip"],
+     {"game": "distinguish", "flavor": "mq", "n": 6, "trials": 40, "p_real": 0.55,
+      "p_random": 0.45, "advantage": 0.10000000000000003, "ci": _CI_ARMS,
+      "invalid_real": 0, "invalid_random": 0, "seed": 12}),
+    (["--game", "infer", "--strategy", "keylearner"],
+     {"game": "infer", "n": 6, "trials": 40, "passes": 39, "violations": 0, "invalid": 0,
+      "pass_rate": 0.975, "ci": _CI_ONE, "seed": 12}),
+    (["--game", "infer", "--strategy", "random"],
+     {"game": "infer", "n": 6, "trials": 40, "passes": 21, "violations": 0, "invalid": 0,
+      "pass_rate": 0.525, "ci": _CI_ONE, "seed": 12}),
+    (["--game", "reduction", "--learner", "exact"],
+     {"game": "reduction", "n": 6, "trials": 40, "passes": 39, "violations": 0,
+      "invalid": 0, "pass_rate": 0.975, "ci": _CI_ONE, "seed": 12,
+      "cases": {"a": 40, "b": 0, "c": 0}}),
+    (["--game", "reduction", "--learner", "uniform"],
+     {"game": "reduction", "n": 6, "trials": 40, "passes": 21, "violations": 0,
+      "invalid": 0, "pass_rate": 0.525, "ci": _CI_ONE, "seed": 12,
+      "cases": {"a": 0, "b": 40, "c": 0}}),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args, record", GOLDEN_GAMES,
+                             ids=["-".join(a[1::2]) for a, _ in GOLDEN_GAMES])
+    def test_game(self, args, record, capsys):
+        code, out, _ = run_cli(capsys, "game", *args, "--n", "6", "--trials", "40",
+                               "--seed", "12")
+        assert code == 0
+        assert out == json.dumps(record, indent=2) + "\n"
+
+    def test_learn_on_n12_sample(self, tmp_path, capsys):
+        inst, samples = tmp_path / "inst.json", tmp_path / "samples.txt"
+        assert main(["instance", "--n", "12", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["sample", "--instance", str(inst), "--key", "5", "--count", "50",
+                     "--seed", "1", "--out", str(samples)]) == 0
+        code, out, _ = run_cli(capsys, "learn", "--samples", str(samples),
+                               "--target-key", "5")
+        assert code == 0
+        assert out == (
+            '{\n  "n": "12",\n  "p": "2579",\n  "q": "1289",\n  "g": "1817",\n'
+            '  "g_a": "2219",\n  "key": "5",\n  "samples_used": "1",\n'
+            '  "kl_to_target": "0.0",\n  "target_key_matched": "true"\n}\n'
+        )
+
+    def test_verify_kgen(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "kgen")
+        assert code == 0
+        assert out == "".join(
+            f"PASS kgen:kgen_support_uniform_n{n}\n" for n in range(3, 9)
+        ) + "OK (0 failing checks)\n"
 
 
 class TestParser:

@@ -71,7 +71,7 @@ class TestGeneratorEvals:
         assert (dist.gen_spec(inst7, 1).seed_bits, dist.gen_spec(inst7, 1).out_bits) == (3, 15)
 
     def test_spec_output_length_checked(self):
-        bad = dist.GeneratorSpec(seed_bits=2, out_bits=3, eval_fn=lambda s: s, kind="custom")
+        bad = dist.GeneratorSpec(seed_bits=2, out_bits=3, eval_fn=lambda s: s)
         with pytest.raises(ValueError):
             bad.eval("01")
 
@@ -89,7 +89,7 @@ class TestSpecWalks:
                 x = format(rng.getrandbits(n), f"0{n}b")
                 out = spec.eval(x)
                 if i in (1, 2, 50):
-                    assert out == reference(inst, key, x), (spec.kind, i)
+                    assert out == reference(inst, key, x), (reference.__name__, i)
 
     def test_one_table_pair_per_repeated_spec(self, monkeypatch):
         # Tables are built on a spec's second walk, one for g and one for
@@ -137,7 +137,7 @@ class TestSampleOracle:
             assert abs(c - draws / 8) <= four_sigma
 
     def test_constant_generator(self):
-        spec = dist.GeneratorSpec(seed_bits=4, out_bits=2, eval_fn=lambda s: "10", kind="custom")
+        spec = dist.GeneratorSpec(seed_bits=4, out_bits=2, eval_fn=lambda s: "10")
         oracle = dist.SampleOracle(spec, random.Random(0))
         assert {oracle.sample() for _ in range(20)} == {"10"}
 

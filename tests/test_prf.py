@@ -175,7 +175,7 @@ class TestOracles:
             oracle.query("101")
         assert oracle.count == 5
         assert oracle.queried == {"101"}
-        entries = [{"query": "101", "response": prf.prf_eval(inst7, 1, "101")}] * 5
+        entries = [("101", prf.prf_eval(inst7, 1, "101"))] * 5
         assert oracle.transcript == entries
 
     def test_budget(self, inst7):
