@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,18 +189,16 @@ def classify_exact_generators(c: BoolFn, m: int) -> ExactGeneratorReport:
     if total > CLASSIFY_BUDGET:
         raise ValueError(f"{total} candidate functions exceed the budget {CLASSIFY_BUDGET}")
 
-    # Exactness test, per combo: every support string of the target hit by
-    # exactly seeds / 2^n of the seeds (so probability 1/2^n each) and
-    # nothing off-support ever hit.
+    # A combo is exact iff, sorted, it is the sorted target support with each
+    # string repeated seeds / 2^n times (probability 1/2^n each, nothing
+    # off-support); none is when 2^n does not divide seeds.
+    per_string, rest = divmod(seeds, 1 << n)
     target_support = sorted(function_table(c).support())
+    want = sorted(target_support * per_string) if rest == 0 else None
     outputs = [bin_n(v, n + 1) for v in range(1 << (n + 1))]
-    exact = set()
-    for combo in itertools.product(outputs, repeat=seeds):
-        counts = Counter(combo)
-        if len(counts) == len(target_support) and all(
-            counts.get(y, 0) * (1 << n) == seeds for y in target_support
-        ):
-            exact.add(combo)
+    exact = {
+        combo for combo in itertools.product(outputs, repeat=seeds) if sorted(combo) == want
+    }
 
     padded = padded_generator(c, m) if m >= n else None
     permuted = set()

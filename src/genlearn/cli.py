@@ -41,7 +41,7 @@ from .games import (
     run_inference_game,
     uniform_distribution_learner,
 )
-from .learner import InvalidSampleError, learn_from_sample
+from .learner import MAX_DLOG_N, InvalidSampleError, learn_from_sample
 from .seeding import make_rng
 
 USAGE_ERROR = 2
@@ -126,6 +126,15 @@ def cmd_learn(args) -> int:
 
 
 def cmd_game(args) -> int:
+    recovers_keys = {
+        "distinguish": args.adversary == "keylearner",
+        "infer": args.strategy == "keylearner",
+        "reduction": args.learner == "exact",
+    }[args.game]
+    if recovers_keys and args.n > MAX_DLOG_N:
+        print(f"error: --n must be <= {MAX_DLOG_N} when the game recovers keys "
+              "(discrete-log feasibility cap)", file=sys.stderr)
+        return USAGE_ERROR
     if args.game == "distinguish":
         adversary = {
             "keylearner": key_learner_adversary(),
@@ -167,9 +176,9 @@ def _suite_numtheory() -> list[tuple[str, bool]]:
     for p in primes:
         q = (p - 1) // 2
         residues = nt.qr_set(p)
-        folded = {nt.f_p(p, x) for x in residues}
-        ok_bij &= len(residues) == q and folded == set(range(1, q + 1))
-        ok_inv &= all(nt.f_p_inv(p, nt.f_p(p, x)) == x for x in residues)
+        folded = {x: nt.f_p(p, x) for x in residues}
+        ok_bij &= len(residues) == q and set(folded.values()) == set(range(1, q + 1))
+        ok_inv &= all(nt.f_p_inv(p, y) == x for x, y in folded.items())
         # Prime group order: g generates iff g != 1 and g^q == 1.
         ok_gen &= all(pow(g, q, p) == 1 for g in residues)
     checks.append(("fp_bijection_all_safe_primes_lt_2^12", ok_bij))

@@ -9,6 +9,12 @@ the fraction of seeds mapped to y.
 Two table arithmetic modes exist: exact ``Fraction`` entries (default for
 seed spaces up to 2^16) and floats beyond.  The identity checks in
 :mod:`genlearn.boolfn` rely on the exact mode.
+
+An exact table counts outputs as integers and divides once per distinct
+count.  ``kgen_spec`` and ``gen_spec`` list all 2^n outputs by expanding
+the GGM tree level by level, 2^(n+1) - 2 powers where walking each seed
+from the root takes n * 2^n; their ``eval``, which ``sample`` calls, walks
+one seed through ``prf.KeyedWalker``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from .numtheory import GroupInstance
@@ -68,12 +75,14 @@ class GeneratorSpec:
     """Executable description of a classical generator.
 
     ``eval_fn`` must be total on {0,1}^seed_bits and produce strings of
-    exactly ``out_bits`` bits.
+    exactly ``out_bits`` bits.  ``outputs_fn``, if given, lists the same
+    outputs as ``outputs`` does by default, by a faster route.
     """
 
     seed_bits: int
     out_bits: int
     eval_fn: Callable[[str], str]
+    outputs_fn: Callable[[], Iterable[str]] | None = None
 
     def eval(self, seed: str) -> str:
         check_bits(seed, self.seed_bits)
@@ -85,6 +94,13 @@ class GeneratorSpec:
         out = self.eval_fn(seed)
         check_bits(out, self.out_bits)
         return out
+
+    def outputs(self) -> Iterable[str]:
+        """Every output, seeds in ascending order, unchecked."""
+        if self.outputs_fn is not None:
+            return self.outputs_fn()
+        m = self.seed_bits
+        return map(self.eval_fn, (format(v, f"0{m}b") for v in range(1 << m)))
 
 
 def encode_params(inst: GroupInstance) -> str:
@@ -112,6 +128,24 @@ def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
     return kgen_eval(inst, key, x) + encode_params(inst)
 
 
+def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
+    """Every x || BIN_n(F(key, x)) || suffix, x ascending, one tree level at a time.
+
+    Level j lists F(key, .) on the j-bit prefixes in ascending order, each
+    node followed by its 0-child and then its 1-child.  Every power is a
+    residue, so each folds with ``min(y, p - y)`` as in ``prf.ggm_walk``.
+    """
+    if not 1 <= key <= inst.q:
+        raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
+    n, p, g, g_a = inst.n, inst.p, inst.g, inst.g_a
+    level = [key]
+    for _ in range(n - 1):
+        level = [min(y, p - y) for b in level for y in (pow(g, b, p), pow(g_a, b, p))]
+    leaves = (y for b in level for y in (pow(g, b, p), pow(g_a, b, p)))
+    fmt = f"0{2 * n}b"
+    return (format(x << n | min(y, p - y), fmt) + suffix for x, y in enumerate(leaves))
+
+
 def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
     """The spec of ``kgen_eval``; its walks share one ``KeyedWalker``."""
     walk = KeyedWalker(inst, key)
@@ -120,6 +154,7 @@ def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
         seed_bits=n,
         out_bits=2 * n,
         eval_fn=lambda x: x + bin_n(walk(x), n),
+        outputs_fn=partial(_tree_outputs, inst, key, ""),
     )
 
 
@@ -131,6 +166,7 @@ def gen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
         seed_bits=inst.n,
         out_bits=5 * inst.n,
         eval_fn=lambda x: kgen(x) + suffix,
+        outputs_fn=partial(_tree_outputs, inst, key, suffix),
     )
 
 
@@ -166,17 +202,23 @@ class DistTable:
     probs: dict
 
     def __post_init__(self):
-        total = 0
         for bits, prob in self.probs.items():
             check_bits(bits, self.n_bits)
             if prob < 0:
                 raise ValueError(f"negative probability for {bits}")
-            total += prob
         if self.is_exact():
+            # Summed in integers over one common denominator.
+            den = math.lcm(*{prob.denominator for prob in self.probs.values()})
+            num = sum(prob.numerator * (den // prob.denominator) for prob in self.probs.values())
+            total = Fraction(num, den)
             if total != 1:
                 raise ValueError(f"exact table sums to {total}, not 1")
-        elif abs(total - 1) > 1e-12:
-            raise ValueError(f"table sums to {total}, outside tolerance")
+        else:
+            total = 0
+            for prob in self.probs.values():
+                total += prob
+            if abs(total - 1) > 1e-12:
+                raise ValueError(f"table sums to {total}, outside tolerance")
 
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.probs.values())
@@ -198,18 +240,22 @@ def exact_table(spec: GeneratorSpec, exact: bool | None = None) -> DistTable:
 
     ``exact=None`` picks rational arithmetic for seed spaces up to
     2^16 and floats beyond; the enumeration budget is 2^20 seeds.
+    Entries keep the seed order of their first occurrence; all entries with
+    the same count share one probability object.
     """
     m = spec.seed_bits
     if m > ENUMERATION_LIMIT:
         raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
     if exact is None:
         exact = m <= EXACT_SEED_LIMIT
-    unit = Fraction(1, 1 << m) if exact else 1.0 / (1 << m)
-    probs: dict = {}
-    for v in range(1 << m):
-        y = spec._eval_formatted(format(v, f"0{m}b"))
-        probs[y] = probs.get(y, 0) + unit
-    return DistTable(spec.out_bits, probs)
+    counts: dict = {}
+    for y in spec.outputs():
+        counts[y] = counts.get(y, 0) + 1
+    seeds = 1 << m
+    probs = {c: Fraction(c, seeds) if exact else c / seeds for c in set(counts.values())}
+    for y, c in counts.items():
+        counts[y] = probs[c]
+    return DistTable(spec.out_bits, counts)
 
 
 def empirical_table(samples: Iterable[str]) -> DistTable:
@@ -239,12 +285,14 @@ def kl_divergence(p: DistTable, q: DistTable) -> float:
         raise ValueError(f"domain mismatch: {p.n_bits} vs {q.n_bits} bits")
     total = 0.0
     for bits, prob in p.probs.items():
-        if prob == 0:
+        a, b = prob.as_integer_ratio()
+        if a == 0:
             continue
-        q_prob = q.probs.get(bits, 0)
-        if q_prob == 0:
+        c, d = q.probs.get(bits, 0).as_integer_ratio()
+        if c == 0:
             return math.inf
-        total += float(prob) * math.log2(float(Fraction(prob) / Fraction(q_prob)))
+        # Int true division rounds correctly: float(Fraction(prob) / Fraction(q_prob)).
+        total += a / b * math.log2(a * d / (b * c))
     if -1e-9 < total < 0.0:
         return 0.0
     return total

@@ -5,7 +5,7 @@ is recovered exactly: walk the tree backwards, at each level unfolding the
 value into the residue group and taking a discrete log in the base the
 input bit selected.  A generic discrete-log engine plays the exact-dlog
 oracle, so exactness holds at bit sizes where sqrt(q) work is feasible;
-``max_n`` caps that (default 40, configurable).
+``max_n`` caps that (default ``MAX_DLOG_N`` = 40, configurable).
 
 The default engine builds one baby-step giant-step table for base g per
 key (``numtheory.DlogTable``, ceil(sqrt(q)) entries, dropped when the key
@@ -32,12 +32,17 @@ from .numtheory import (
 from .prf import check_bits
 
 __all__ = [
+    "MAX_DLOG_N",
     "InvalidSampleError",
     "LearnedGenerator",
     "learn_key",
     "learn_from_sample",
     "pac_generator_learn",
 ]
+
+# Largest n whose keys are recovered: the baby-step table holds ceil(sqrt(q))
+# entries, up to about 741k (roughly 100 MB) at n = 40.
+MAX_DLOG_N = 40
 
 
 class InvalidSampleError(ValueError):
@@ -89,7 +94,9 @@ def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int
     return b
 
 
-def learn_from_sample(sample: str, engine: str = "bsgs", max_n: int = 40) -> LearnedGenerator:
+def learn_from_sample(
+    sample: str, engine: str = "bsgs", max_n: int = MAX_DLOG_N
+) -> LearnedGenerator:
     """Parse one 5n-bit sample and recover the exact generator behind it."""
     try:
         check_bits(sample)

@@ -17,10 +17,12 @@ Conventions used throughout the package:
 Two ways to exponentiate in the group, chosen by how often a base recurs:
 
 * builtin ``pow`` (square-and-multiply) for one-off powers: instance
-  checks, single GGM walks (oracles, ``prf_eval``, key recovery);
+  checks, single GGM walks (oracles, ``prf_eval``, key recovery), and the
+  level-by-level tree expansion behind exact tables, whose exponents are
+  only n bits;
 * ``PowTable``, fixed-base windows built once per base, for many powers of
   one base: ``prf.KeyedWalker`` builds one for g and one for g_a on a
-  spec's second walk (sample files, exact tables).
+  spec's second walk (sample files).
 
 Likewise ``DlogTable`` holds one baby-step table per base, for many logs.
 The safe-prime search keeps its candidate stream and makes each test
@@ -211,16 +213,18 @@ def f_p(p: int, x: int) -> int:
 def f_p_inv(p: int, y: int) -> int:
     """Inverse fold: the unique quadratic residue in {y, p - y}.
 
-    Requires q odd (p % 4 == 3): exactly one of y and p - y is then a
-    residue.  For p = 5 neither may be, in which case this raises.
+    Requires q odd (p % 4 == 3): -1 is then a non-residue, so exactly one
+    of y and p - y is a residue and one Euler test decides which.  For
+    p = 5 neither may be, in which case this raises.
     """
     q = (p - 1) // 2
     if not 1 <= y <= q:
         raise ValueError(f"value {y} outside canonical range 1..{q}")
-    cand = y if is_qr(p, y) else p - y
-    if not is_qr(p, cand):
-        raise ValueError(f"no quadratic-residue preimage of {y} mod {p} (degenerate p)")
-    return cand
+    if is_qr(p, y):
+        return y
+    if q % 2 == 1:
+        return p - y
+    raise ValueError(f"no quadratic-residue preimage of {y} mod {p} (degenerate p)")
 
 
 class DlogTable:

@@ -18,11 +18,14 @@ Each level costs one modular power, taken one of two ways:
   ``prf_eval``, the oracles, and any function evaluated once, such as the
   spec the games' reduction learner returns.  Building tables there would
   cost more than the walk saves.
-* ``KeyedWalker`` serves one (instance, key) walked many times, as
-  ``kgen_spec`` and ``gen_spec`` are by ``sample`` and exact tables.  Its
-  first walk is ``prf_eval``; its second builds a ``numtheory.PowTable``
-  for g and one for g_a, and every later level is a table power (at
-  n = 64, about 3.4 us against 22 us for ``pow``).
+* ``KeyedWalker`` serves one (instance, key) walked many times at random
+  inputs, as ``kgen_spec`` and ``gen_spec`` are by ``sample``.  Its first
+  walk is ``prf_eval``; its second builds a ``numtheory.PowTable`` for g
+  and one for g_a, and every later level is a table power (at n = 64,
+  about 3.4 us against 22 us for ``pow``).
+
+Exact tables walk no seed: ``distributions`` expands the whole tree level
+by level with builtin ``pow``, two powers per node.
 
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.

@@ -190,6 +190,16 @@ class TestExactClassification:
             assert report.exact_count == 24
             assert report.matches_characterization
 
+    def test_under_seeded_has_no_exact_generator(self):
+        # 2^n does not divide the 2^m seeds: no map hits each of the 2^n
+        # support strings equally often, and no padded generator exists.
+        for c in all_functions(2):
+            report = bf.classify_exact_generators(c, 1)
+            assert report.total_functions == 64
+            assert report.exact_functions == ()
+            assert report.distinct_permuted_count == 0
+            assert report.matches_characterization
+
     def test_report_dict(self):
         report = bf.classify_exact_generators(bf.BoolFn(1, "01"), 1)
         assert report.exact_count == 2

@@ -186,6 +186,43 @@ class TestGameCommand:
         assert "--engine" in capsys.readouterr().err
 
 
+class TestKeyRecoveryCap:
+    class Built(Exception):
+        """Raised in place of building an instance."""
+
+    @pytest.fixture(autouse=True)
+    def no_instances(self, monkeypatch):
+        def refuse(n, *args, **kwargs):
+            raise self.Built(n)
+
+        monkeypatch.setattr(games, "generate_instance", refuse)
+
+    KEY_GAMES = [
+        ("--game", "distinguish", "--adversary", "keylearner", "--flavor", "mq"),
+        ("--game", "distinguish", "--adversary", "keylearner", "--flavor", "pex"),
+        ("--game", "infer", "--strategy", "keylearner"),
+        ("--game", "reduction", "--learner", "exact"),
+    ]
+
+    @pytest.mark.parametrize("argv", KEY_GAMES)
+    def test_n_above_cap_refused_before_any_instance(self, argv, capsys):
+        code, out, err = run_cli(capsys, "game", *argv, "--n", "44", "--trials", "4",
+                                 "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n must be <= 40")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, n", [(argv, 40) for argv in KEY_GAMES] + [
+        (("--game", "distinguish", "--adversary", "coinflip"), 44),
+        (("--game", "distinguish", "--adversary", "constant"), 44),
+        (("--game", "infer", "--strategy", "random"), 44),
+        (("--game", "reduction", "--learner", "uniform"), 44),
+    ])
+    def test_other_games_and_the_cap_itself_proceed(self, argv, n):
+        with pytest.raises(self.Built):
+            main(["game", *argv, "--n", str(n), "--trials", "4", "--seed", "1"])
+
+
 class TestSearchBudget:
     @pytest.mark.parametrize("argv", [
         ("instance", "--n", "64", "--seed", "1"),

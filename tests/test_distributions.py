@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,7 +95,8 @@ class TestSpecWalks:
 
     def test_one_table_pair_per_repeated_spec(self, monkeypatch):
         # Tables are built on a spec's second walk, one for g and one for
-        # g_a, and shared by every later walk; a spec walked once builds none.
+        # g_a, and shared by every later walk; a spec walked once builds none,
+        # and an exact table, which expands the tree, walks no seed.
         built = []
 
         class CountingTable(PowTable):
@@ -113,8 +116,7 @@ class TestSpecWalks:
             assert sorted(built) == sorted([inst.g, inst.g_a])
             built.clear()
         dist.exact_table(dist.kgen_spec(inst, 7))
-        assert sorted(built) == sorted([inst.g, inst.g_a])
-        built.clear()
+        assert built == []
         oracle = dist.SampleOracle(dist.gen_spec(inst, 7), random.Random(1))
         for _ in range(50):
             oracle.sample()
@@ -176,6 +178,63 @@ class TestExactTable:
             dist.DistTable(2, {"00": Fraction(3, 2), "01": Fraction(-1, 2)})
         with pytest.raises(ValueError):
             dist.DistTable(2, {"0": Fraction(1, 2), "01": Fraction(1, 2)})  # ragged
+
+    @pytest.mark.parametrize("probs, message", [
+        ({"00": Fraction(1, 2)}, "exact table sums to 1/2, not 1"),
+        ({"00": Fraction(1, 3), "01": Fraction(1, 6), "10": Fraction(1, 3)},
+         "exact table sums to 5/6, not 1"),
+        ({"00": Fraction(2, 3), "01": Fraction(2, 3)}, "exact table sums to 4/3, not 1"),
+        ({}, "exact table sums to 0, not 1"),
+        ({"00": 0.5}, "table sums to 0.5, outside tolerance"),
+        ({"00": Fraction(1, 2), "01": 0.25}, "table sums to 0.75, outside tolerance"),
+        ({"00": Fraction(3, 2), "01": Fraction(-1, 2)}, "negative probability for 01"),
+        ({"00": 1.5, "01": -0.5}, "negative probability for 01"),
+        ({"0": Fraction(1, 2), "01": Fraction(1, 2)},
+         "bitstring '0' has length 1, expected 2"),
+        ({"0x": Fraction(1)}, "not a bitstring: '0x'"),
+        # The first malformed entry decides the error, before any sum.
+        ({"00": Fraction(-1, 2), "0x": Fraction(3, 2)}, "negative probability for 00"),
+        ({"0x": Fraction(3, 2), "01": Fraction(-1, 2)}, "not a bitstring: '0x'"),
+        ({"01": Fraction(1, 4), "1": Fraction(-1, 4)}, "bitstring '1' has length 1"),
+    ])
+    def test_validation_messages(self, probs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            dist.DistTable(2, probs)
+
+    @pytest.mark.parametrize("probs", [
+        {"00": Fraction(1, 3), "01": Fraction(1, 6), "10": Fraction(1, 2)},
+        {"00": Fraction(1, 2), "01": 0.5},
+        {"00": Fraction(0), "11": Fraction(1)},
+        {"10": 1},
+    ])
+    def test_valid_mixed_denominators_and_types(self, probs):
+        assert dist.DistTable(2, probs).probs == probs
+
+    def test_key_out_of_range(self, inst7):
+        for make in (dist.kgen_spec, dist.gen_spec):
+            for key in (0, inst7.q + 1):
+                with pytest.raises(ValueError, match="outside canonical range"):
+                    dist.exact_table(make(inst7, key))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_tree_expansion_matches_per_seed_walks(self, n):
+        # Reference: every seed walked from the root by kgen_eval/gen_eval,
+        # one unit added per seed, as exact tables were built before.
+        inst = generate_instance(n, make_rng(n, "tree-expansion"))
+        key = random.Random(n).randint(1, inst.q)
+        for make, reference in ((dist.kgen_spec, dist.kgen_eval),
+                                (dist.gen_spec, dist.gen_eval)):
+            outputs = [reference(inst, key, dist.bin_n(v, n)) for v in range(1 << n)]
+            assert list(make(inst, key).outputs()) == outputs
+            for exact in (True, False):
+                unit = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
+                want: dict = {}
+                for y in outputs:
+                    want[y] = want.get(y, 0) + unit
+                table = dist.exact_table(make(inst, key), exact=exact)
+                assert table.probs == want
+                assert list(table.probs) == list(want)
+                assert {type(v) for v in table.probs.values()} == {type(unit)}
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_prob_lookup(self, inst7, exact):
@@ -263,6 +322,42 @@ class TestDistances:
         p, q = random_table(), random_table()
         kl = dist.kl_divergence(p, q)
         assert dist.tv_distance(p, q) <= math.log(2) * math.sqrt(kl) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kl_matches_fraction_formula_bit_for_bit(self, seed):
+        def reference(p, q):
+            total = 0.0
+            for bits, prob in p.probs.items():
+                if prob == 0:
+                    continue
+                q_prob = q.probs.get(bits, 0)
+                if q_prob == 0:
+                    return math.inf
+                total += float(prob) * math.log2(float(Fraction(prob) / Fraction(q_prob)))
+            if -1e-9 < total < 0.0:
+                return 0.0
+            return total
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+
+        def random_table(exact):
+            # Overlapping supports; some entries zero.
+            keys = [dist.bin_n(v, n) for v in range(1 << n) if rng.random() < 0.8]
+            keys = keys or [dist.bin_n(0, n)]
+            weights = [rng.choice([0, 1, 2, 3, 7, 1000]) for _ in keys]
+            weights[0] += 1
+            total = sum(weights)
+            if exact:
+                return dist.DistTable(n, {k: Fraction(w, total) for k, w in zip(keys, weights)})
+            probs = {k: w / total for k, w in zip(keys, weights)}
+            probs[keys[0]] += 1.0 - sum(probs.values())
+            return dist.DistTable(n, probs)
+
+        for p_exact, q_exact in itertools.product((True, False), repeat=2):
+            p, q = random_table(p_exact), random_table(q_exact)
+            for a, b in ((p, q), (q, p), (p, p), (p, dist.DistTable(n, dict(q.probs)))):
+                assert dist.kl_divergence(a, b).hex() == reference(a, b).hex()
 
 
 class TestFiles:
