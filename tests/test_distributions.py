@@ -341,10 +341,12 @@ class TestDistances:
         rng = random.Random(seed)
         n = rng.randint(1, 6)
 
-        def random_table(exact):
-            # Overlapping supports; some entries zero.
+        def random_keys():
             keys = [dist.bin_n(v, n) for v in range(1 << n) if rng.random() < 0.8]
-            keys = keys or [dist.bin_n(0, n)]
+            return keys or [dist.bin_n(0, n)]
+
+        def random_table(exact, keys):
+            # Some entries are zero.
             weights = [rng.choice([0, 1, 2, 3, 7, 1000]) for _ in keys]
             weights[0] += 1
             total = sum(weights)
@@ -355,8 +357,10 @@ class TestDistances:
             return dist.DistTable(n, probs)
 
         for p_exact, q_exact in itertools.product((True, False), repeat=2):
-            p, q = random_table(p_exact), random_table(q_exact)
-            for a, b in ((p, q), (q, p), (p, p), (p, dist.DistTable(n, dict(q.probs)))):
+            keys = random_keys()
+            p, q = random_table(p_exact, keys), random_table(q_exact, keys)
+            r = random_table(q_exact, random_keys())
+            for a, b in ((p, q), (q, p), (p, p), (p, r), (r, p)):
                 assert dist.kl_divergence(a, b).hex() == reference(a, b).hex()
 
 
