@@ -1,11 +1,12 @@
 """Distributions built from Boolean functions, and their exact generators.
 
 A function c on n bits induces the distribution uniform on the 2^n strings
-x || c(x).  This module provides the induced generator, seed padding and
-seed permutation (which leave the distribution untouched), the best
-possible under-seeded generator, and a brute-force classifier that
-enumerates every function on a small seed space and partitions it into
-exact and non-exact generators for the target.
+x || c(x).  This module provides the induced generator, seed padding
+(which leaves the distribution untouched), the best possible under-seeded
+generator, and a brute-force classifier that enumerates every function on
+a small seed space, partitions it into exact and non-exact generators for
+the target, and checks the exact ones against the padded generator
+composed with every seed permutation.
 
 All arithmetic here is exact rational: the statements being checked are
 equalities, and float comparison would weaken them.
@@ -23,12 +24,10 @@ from .distributions import DistTable, GeneratorSpec, bin_n, exact_table
 
 __all__ = [
     "BoolFn",
-    "Permutation",
     "gen_from_function",
     "function_table",
     "disagreement_prob",
     "padded_generator",
-    "permuted_generator",
     "optimal_short_generator",
     "ExactGeneratorReport",
     "classify_exact_generators",
@@ -61,37 +60,6 @@ class BoolFn:
         return cls(n, format(rng.getrandbits(1 << n), f"0{1 << n}b"))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0,1}^m, stored as the image table over seed values."""
-
-    m: int
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.mapping) != 1 << self.m:
-            raise ValueError(f"mapping must have {1 << self.m} entries")
-        # Bijectivity is checked outright up to m = 16; beyond that the
-        # table itself would be the bottleneck, not this check.
-        if self.m <= 16 and sorted(self.mapping) != list(range(1 << self.m)):
-            raise ValueError("mapping is not a bijection")
-
-    def apply(self, bits: str) -> str:
-        if len(bits) != self.m:
-            raise ValueError(f"input {bits!r} is not {self.m} bits")
-        return bin_n(self.mapping[int(bits, 2)], self.m)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(m, tuple(range(1 << m)))
-
-    @classmethod
-    def random(cls, m: int, rng: random.Random) -> "Permutation":
-        values = list(range(1 << m))
-        rng.shuffle(values)
-        return cls(m, tuple(values))
-
-
 def gen_from_function(c: BoolFn) -> GeneratorSpec:
     """The canonical generator x -> x || c(x)."""
     return GeneratorSpec(
@@ -122,18 +90,6 @@ def padded_generator(c: BoolFn, m: int) -> GeneratorSpec:
         seed_bits=m,
         out_bits=c.n + 1,
         eval_fn=lambda s: s[: c.n] + c(s[: c.n]),
-    )
-
-
-def permuted_generator(c: BoolFn, m: int, perm: Permutation) -> GeneratorSpec:
-    """The padded generator composed with a seed permutation; still exact."""
-    if perm.m != m:
-        raise ValueError(f"permutation acts on {perm.m} bits, seeds have {m}")
-    padded = padded_generator(c, m)
-    return GeneratorSpec(
-        seed_bits=m,
-        out_bits=c.n + 1,
-        eval_fn=lambda s: padded.eval(perm.apply(s)),
     )
 
 

@@ -41,7 +41,7 @@ from .games import (
     run_inference_game,
     uniform_distribution_learner,
 )
-from .learner import MAX_DLOG_N, InvalidSampleError, learn_from_sample
+from .learner import MAX_DLOG_N, learn_from_sample
 from .seeding import make_rng
 
 USAGE_ERROR = 2
@@ -77,7 +77,7 @@ def cmd_sample(args) -> int:
     try:
         with open(args.instance, encoding="ascii") as fh:
             inst = nt.GroupInstance.from_json_dict(json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if not 1 <= args.key <= inst.q:
@@ -106,7 +106,7 @@ def cmd_learn(args) -> int:
         return USAGE_ERROR
     try:
         learned = learn_from_sample(samples[0], engine=args.engine)
-    except (InvalidSampleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     record = learned.to_json_dict()
@@ -145,11 +145,8 @@ def cmd_game(args) -> int:
             adversary, args.flavor, args.n, args.trials, args.seed
         ).to_dict()
     elif args.game == "infer":
-        factory = {
-            "keylearner": KeyLearnerStrategy,
-            "random": RandomGuessStrategy,
-        }[args.strategy]
-        result = run_inference_game(factory, args.n, args.trials, args.seed).to_dict()
+        strategy = KeyLearnerStrategy() if args.strategy == "keylearner" else RandomGuessStrategy()
+        result = run_inference_game(strategy, args.n, args.trials, args.seed).to_dict()
     else:  # reduction
         if args.learner == "exact":
             reduction = learner_to_inference(exact_generator_learner, form="gen")

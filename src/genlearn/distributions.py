@@ -6,15 +6,11 @@ keyed function consumes.  A generator is a deterministic map from m seed
 bits to output bits; the distribution it induces weights each output y by
 the fraction of seeds mapped to y.
 
-Two table arithmetic modes exist: exact ``Fraction`` entries (default for
-seed spaces up to 2^16) and floats beyond.  The identity checks in
-:mod:`genlearn.boolfn` rely on the exact mode.
-
-An exact table counts outputs as integers and divides once per distinct
-count.  ``kgen_spec`` and ``gen_spec`` list all 2^n outputs by expanding
-the GGM tree level by level, 2^(n+1) - 2 powers where walking each seed
-from the root takes n * 2^n; their ``eval``, which ``sample`` calls, walks
-one seed through ``prf.KeyedWalker``.
+``exact_table`` counts outputs as integers and divides once per distinct
+count, so its entries are ``Fraction``s; ``DistTable.to_float`` gives the
+float copy.  The identity checks in :mod:`genlearn.boolfn` rely on exact
+tables.  How ``kgen_spec`` and ``gen_spec`` list their outputs and walk
+single seeds is described once, in :mod:`genlearn.prf`.
 """
 
 from __future__ import annotations
@@ -43,14 +39,12 @@ __all__ = [
     "SampleOracle",
     "DistTable",
     "exact_table",
-    "empirical_table",
     "kl_divergence",
     "tv_distance",
     "write_samples",
     "read_samples",
 ]
 
-EXACT_SEED_LIMIT = 16  # rational tables up to 2**16 seeds
 ENUMERATION_LIMIT = 20  # hard budget for exhaustive seed enumeration
 
 
@@ -86,11 +80,6 @@ class GeneratorSpec:
 
     def eval(self, seed: str) -> str:
         check_bits(seed, self.seed_bits)
-        return self._eval_formatted(seed)
-
-    def _eval_formatted(self, seed: str) -> str:
-        """``eval`` for a seed its caller formatted to ``seed_bits`` bits itself;
-        the output, which comes from ``eval_fn``, is still checked."""
         out = self.eval_fn(seed)
         check_bits(out, self.out_bits)
         return out
@@ -186,7 +175,7 @@ class SampleOracle:
     def sample(self) -> str:
         self.count += 1
         seed = format(self._rng.getrandbits(self.spec.seed_bits), f"0{self.spec.seed_bits}b")
-        return self.spec._eval_formatted(seed)
+        return self.spec.eval(seed)
 
 
 @dataclass(frozen=True, eq=True)
@@ -235,43 +224,24 @@ class DistTable:
         return DistTable(self.n_bits, {b: float(v) for b, v in self.probs.items()})
 
 
-def exact_table(spec: GeneratorSpec, exact: bool | None = None) -> DistTable:
+def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
     """The exact induced table of a generator, by full seed enumeration.
 
-    ``exact=None`` picks rational arithmetic for seed spaces up to
-    2^16 and floats beyond; the enumeration budget is 2^20 seeds.
-    Entries keep the seed order of their first occurrence; all entries with
-    the same count share one probability object.
+    The enumeration budget is 2^20 seeds.  Entries keep the seed order of
+    their first occurrence; all entries with the same count share one
+    ``Fraction``.  ``exact=False`` returns the same table ``to_float()``.
     """
     m = spec.seed_bits
     if m > ENUMERATION_LIMIT:
         raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
-    if exact is None:
-        exact = m <= EXACT_SEED_LIMIT
     counts: dict = {}
     for y in spec.outputs():
         counts[y] = counts.get(y, 0) + 1
-    seeds = 1 << m
-    probs = {c: Fraction(c, seeds) if exact else c / seeds for c in set(counts.values())}
+    probs = {c: Fraction(c, 1 << m) for c in set(counts.values())}
     for y, c in counts.items():
         counts[y] = probs[c]
-    return DistTable(spec.out_bits, counts)
-
-
-def empirical_table(samples: Iterable[str]) -> DistTable:
-    """Frequency estimates from observed samples (exact fractions)."""
-    counts: dict[str, int] = {}
-    total = 0
-    width = None
-    for s in samples:
-        if width is None:
-            width = len(s)
-        check_bits(s, width)
-        counts[s] = counts.get(s, 0) + 1
-        total += 1
-    if total == 0:
-        raise ValueError("no samples")
-    return DistTable(width, {s: Fraction(c, total) for s, c in counts.items()})
+    table = DistTable(spec.out_bits, counts)
+    return table if exact else table.to_float()
 
 
 def kl_divergence(p: DistTable, q: DistTable) -> float:

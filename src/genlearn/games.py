@@ -13,8 +13,8 @@ membership-query or random-example handle, and reports the acceptance
 rate gap.  The inference game makes a strategy pick a fresh "exam string"
 after its query phase and identify the true function value among a
 shuffled pair.  ``learner_to_inference`` turns any sample-consuming
-generator learner into an inference strategy by simulating its sample
-oracle through membership queries.
+generator learner into an inference strategy by serving its SAMPLE
+queries through membership queries.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .distributions import GeneratorSpec, bin_n, bits_to_int, encode_params, uniform_spec
+from .distributions import (
+    GeneratorSpec,
+    SampleOracle,
+    bin_n,
+    bits_to_int,
+    encode_params,
+    uniform_spec,
+)
 from .learner import learn_key, pac_generator_learn
 from .numtheory import GroupInstance, generate_instance
 from .prf import (
@@ -280,7 +287,7 @@ class InferenceResult:
 
 
 def run_inference_game(
-    strategy_factory,
+    strategy,
     n: int,
     trials: int,
     seed: int,
@@ -290,15 +297,15 @@ def run_inference_game(
 ) -> InferenceResult:
     """Play the exam game: fresh instance and key per trial.
 
-    The strategy object exposes ``choose_exam(params, oracle, rng)`` and
-    ``guess(pair, rng) -> index``.  The harness enforces the exam rules (an
-    exam that is not an n-bit string, or a reused query point, is a
-    protocol violation, scored as a failed trial), draws the decoy value
-    uniformly from {1, ..., q}, and shuffles the pair before presenting
-    it.  A budget overrun in ``choose_exam`` invalidates the trial; any
-    other exception from the strategy propagates.  The rate and its
-    Hoeffding half-width are over the scored (not invalid) trials, and
-    ``None`` when there are none.
+    One strategy object plays every trial: ``choose_exam(params, oracle,
+    rng)`` starts a trial and ``guess(pair, rng) -> index`` ends it.  The
+    harness enforces the exam rules (an exam that is not an n-bit string,
+    or a reused query point, is a protocol violation, scored as a failed
+    trial), draws the decoy value uniformly from {1, ..., q}, and shuffles
+    the pair before presenting it.  A budget overrun in ``choose_exam``
+    invalidates the trial; any other exception from the strategy
+    propagates.  The rate and its Hoeffding half-width are over the scored
+    (not invalid) trials, and ``None`` when there are none.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -310,7 +317,6 @@ def run_inference_game(
         inst = generate_instance(n, make_rng(seed, "instance", i))
         key = make_rng(seed, "key", i).randint(1, inst.q)
         oracle = MembershipOracle(partial(prf_eval, inst, key), n, max_queries=budget)
-        strategy = strategy_factory()
         rng = make_rng(seed, "strategy", i)
         exam_rng = make_rng(seed, "exam", i)
         try:
@@ -424,36 +430,10 @@ def uniform_distribution_learner(oracle, n: int, epsilon, delta, rng) -> Generat
     return uniform_spec(2 * n)
 
 
-class _SimulatedSampleOracle:
-    """Serves SAMPLE queries through a membership handle.
-
-    Each sample draws x uniformly, queries the keyed function, and returns
-    x || BIN_n(F(k,x)), with the parameter suffix appended in "gen" form.
-    The wrapped learner's whole view of the function flows through here,
-    so the membership handle's ``queried`` set is exactly the points used.
-    """
-
-    def __init__(self, params: GroupInstance, mq: MembershipOracle, form: str, rng):
-        self._params = params
-        self._mq = mq
-        self._rng = rng
-        self._suffix = encode_params(params) if form == "gen" else ""
-
-    @property
-    def count(self) -> int:
-        return self._mq.count
-
-    def sample(self) -> str:
-        n = self._params.n
-        x = _random_bits(self._rng, n)
-        value = self._mq.query(x)
-        return x + bin_n(value, n) + self._suffix
-
-
 class _Reduction:
     """A generator learner played as an inference strategy; see
-    ``learner_to_inference``.  It is its own factory: each trial's
-    ``choose_exam`` resets the value that ``guess`` reads.
+    ``learner_to_inference``.  Each trial's ``choose_exam`` resets the
+    value that ``guess`` reads.
     """
 
     def __init__(self, dist_learner, epsilon: float | None, delta: float, form: str):
@@ -464,16 +444,17 @@ class _Reduction:
         self.case_log: list[str] = []
         self._y: int | None = None
 
-    def __call__(self) -> "_Reduction":
-        return self
-
     def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
         n = params.n
         # Default accuracy targets handed to the learner: log2(n) and 1/2.
         epsilon = self.epsilon if self.epsilon is not None else math.log2(n)
-        sim = _SimulatedSampleOracle(params, oracle, self.form, rng)
+        # SAMPLE through the membership handle: its ``queried`` set is
+        # exactly the points the learner saw.
+        suffix = encode_params(params) if self.form == "gen" else ""
+        target = GeneratorSpec(n, 2 * n + len(suffix),
+                               lambda x: x + bin_n(oracle.query(x), n) + suffix)
         try:
-            spec = self.dist_learner(sim, n, epsilon, self.delta, rng)
+            spec = self.dist_learner(SampleOracle(target, rng), n, epsilon, self.delta, rng)
             drawn = spec.eval(_random_bits(rng, spec.seed_bits))
             self._y = bits_to_int(drawn[n : 2 * n])
         except ValueError:
@@ -503,16 +484,19 @@ class _Reduction:
 def learner_to_inference(
     dist_learner, epsilon: float | None = None, delta: float = 0.5, form: str = "gen"
 ) -> _Reduction:
-    """Wrap a generator learner as an inference strategy factory.
+    """Wrap a generator learner as an inference strategy.
 
-    Per trial: simulate the learner's sample oracle via membership
-    queries ("gen" samples carry the parameter suffix, "kgen" samples do
-    not), draw one string x || y from the generator it returns, then play
-    out three cases: a fresh x becomes the exam and y is matched against
-    the presented pair (case a/b); a reused x, or a learner failure, falls
+    Per trial: hand the learner a ``SampleOracle`` whose generator draws x
+    uniformly and answers x || BIN_n(F(k, x)) by one membership query
+    ("gen" samples carry the parameter suffix, "kgen" samples do not),
+    draw one string x || y from the generator it returns, then play out
+    three cases: a fresh x becomes the exam and y is matched against the
+    presented pair (case a/b); a reused x, or a learner failure, falls
     back to a fresh random exam and a coin-flip guess (case c).
     ``case_log`` on the returned object collects one of "a"/"b"/"c" per
-    trial.
+    trial that reaches ``guess``: a trial invalidated by a budget overrun
+    or scored as a violation leaves no entry, so the cases sum to
+    ``trials - invalid - violations``.
     """
     if form not in ("kgen", "gen"):
         raise ValueError(f"unknown sample form {form!r}")

@@ -5,7 +5,7 @@ is recovered exactly: walk the tree backwards, at each level unfolding the
 value into the residue group and taking a discrete log in the base the
 input bit selected.  A generic discrete-log engine plays the exact-dlog
 oracle, so exactness holds at bit sizes where sqrt(q) work is feasible;
-``max_n`` caps that (default ``MAX_DLOG_N`` = 40, configurable).
+``learn_from_sample`` refuses samples with n above ``MAX_DLOG_N`` = 40.
 
 The default engine builds one baby-step giant-step table for base g per
 key (``numtheory.DlogTable``, ceil(sqrt(q)) entries, dropped when the key
@@ -94,9 +94,7 @@ def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int
     return b
 
 
-def learn_from_sample(
-    sample: str, engine: str = "bsgs", max_n: int = MAX_DLOG_N
-) -> LearnedGenerator:
+def learn_from_sample(sample: str, engine: str = "bsgs") -> LearnedGenerator:
     """Parse one 5n-bit sample and recover the exact generator behind it."""
     try:
         check_bits(sample)
@@ -107,8 +105,8 @@ def learn_from_sample(
             f"malformed length {len(sample)}: samples are 5n bits with n >= 3"
         )
     n = len(sample) // 5
-    if n > max_n:
-        raise ValueError(f"n = {n} beyond the dlog feasibility cap {max_n}")
+    if n > MAX_DLOG_N:
+        raise ValueError(f"n = {n} beyond the dlog feasibility cap {MAX_DLOG_N}")
     x = sample[:n]
     value_bits = sample[n : 2 * n]
     p, g, g_a = decode_params(sample[2 * n :])

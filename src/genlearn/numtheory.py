@@ -14,18 +14,10 @@ Conventions used throughout the package:
   bijection onto {1, ..., q} and key recovery degenerates.  p = 7 is the
   smallest usable instance.
 
-Two ways to exponentiate in the group, chosen by how often a base recurs:
-
-* builtin ``pow`` (square-and-multiply) for one-off powers: instance
-  checks, single GGM walks (oracles, ``prf_eval``, key recovery), and the
-  level-by-level tree expansion behind exact tables, whose exponents are
-  only n bits;
-* ``PowTable``, fixed-base windows built once per base, for many powers of
-  one base: ``prf.KeyedWalker`` builds one for g and one for g_a on a
-  spec's second walk (sample files).
-
-Likewise ``DlogTable`` holds one baby-step table per base, for many logs.
-The safe-prime search keeps its candidate stream and makes each test
+``PowTable`` (fixed-base windows) serves many powers of one base and
+``DlogTable`` (one baby-step table) many logs to one base; where each way
+of exponentiating is used is described in :mod:`genlearn.prf`.  The
+safe-prime search keeps its candidate stream and makes each test
 cheap: a sieve lookup below 2**16, gcds with products of the sieved
 primes above (p and q screened together), then Miller-Rabin.
 """
@@ -367,15 +359,13 @@ class GroupInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupInstance":
         try:
-            p = int(data["p"])
-            g = int(data["g"])
-            g_a = int(data["g_a"])
-            n = int(data["n"])
+            p, g, g_a, n = (int(data[field]) for field in ("p", "g", "g_a", "n"))
+            a_secret = int(data["a_secret"]) if "a_secret" in data else None
+            q = int(data["q"]) if "q" in data else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed instance record: {exc}") from exc
-        a_secret = int(data["a_secret"]) if "a_secret" in data else None
         inst = validate_instance(p, g, g_a, n=n, a_secret=a_secret)
-        if "q" in data and int(data["q"]) != inst.q:
+        if q is not None and q != inst.q:
             raise ValueError("inconsistent q field in instance record")
         return inst
 

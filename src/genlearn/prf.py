@@ -12,20 +12,23 @@ g or g_a is a residue (instances are built only by ``generate_instance``
 or ``validate_instance``), so each level folds with ``min(y, p - y)``
 instead of the Euler-checked ``f_p``.
 
-Each level costs one modular power, taken one of two ways:
+Each level costs one modular power.  The package takes group powers one
+of three ways, by how often a base recurs:
 
-* ``ggm_walk`` calls builtin ``pow``.  It serves every single walk:
-  ``prf_eval``, the oracles, and any function evaluated once, such as the
-  spec the games' reduction learner returns.  Building tables there would
-  cost more than the walk saves.
-* ``KeyedWalker`` serves one (instance, key) walked many times at random
-  inputs, as ``kgen_spec`` and ``gen_spec`` are by ``sample``.  Its first
-  walk is ``prf_eval``; its second builds a ``numtheory.PowTable`` for g
-  and one for g_a, and every later level is a table power (at n = 64,
-  about 3.4 us against 22 us for ``pow``).
-
-Exact tables walk no seed: ``distributions`` expands the whole tree level
-by level with builtin ``pow``, two powers per node.
+* builtin ``pow`` (square-and-multiply) in ``ggm_walk``, for every single
+  walk: ``prf_eval``, the oracles, and any function evaluated once, such
+  as the spec the games' reduction learner returns; also for one-off
+  powers such as instance checks.  Building tables there would cost more
+  than the walk saves.
+* ``numtheory.PowTable`` in ``KeyedWalker``, for one (instance, key)
+  walked many times at random inputs, as ``kgen_spec`` and ``gen_spec``
+  are by ``sample``.  Its first walk is ``prf_eval``; its second builds a
+  table for g and one for g_a, and every later level is a table power (at
+  n = 64, about 3.4 us against 22 us for ``pow``).
+* tree expansion with builtin ``pow`` in ``distributions``, for exact
+  tables, which walk no seed: the whole tree is expanded level by level,
+  two powers per node, 2^(n+1) - 2 powers where walking each seed from the
+  root takes n * 2^n.  The exponents are only n bits.
 
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.

@@ -97,6 +97,18 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("field, value", [("q", None), ("a_secret", [1]), ("g", "x")],
+                             ids=["null-q", "list-a-secret", "non-numeric-g"])
+    def test_malformed_instance_record(self, field, value, instance_file, capsys):
+        record = json.loads(instance_file.read_text())
+        record[field] = value
+        instance_file.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, "sample", "--instance", str(instance_file),
+                                 "--key", "1", "--count", "1", "--seed", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot load instance: malformed instance record")
+        assert err.count("\n") == 1
+
 
 class TestLearnCommand:
     def test_end_to_end_roundtrip(self, instance_file, tmp_path, capsys):
@@ -256,8 +268,10 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
-# Seeded stdout captured before the games layer was pruned; a refactor must
-# reproduce it byte for byte, not only rerun-equal (acceptance criterion 12).
+# Seeded stdout captured before a refactor (the games below before the games
+# layer was pruned, the other commands before the reduction sampled through
+# SampleOracle); a refactor must reproduce it byte for byte, not only
+# rerun-equal (acceptance criterion 12).
 _CI_ARMS, _CI_ONE = 0.7278954160144187, 0.25734989232919925
 GOLDEN_GAMES = [
     (["--game", "distinguish", "--adversary", "keylearner", "--flavor", "mq"],
@@ -293,6 +307,30 @@ GOLDEN_GAMES = [
 ]
 
 
+_INSTANCE_N12 = '{\n  "n": "12",\n  "p": "2579",\n  "q": "1289",\n  "g": "1817",\n  "g_a": "2219"'
+GOLDEN_COMMANDS = [
+    pytest.param(["instance", "--n", "12", "--seed", "1"], _INSTANCE_N12 + "\n}\n",
+                 id="instance-json"),
+    pytest.param(["instance", "--n", "12", "--seed", "1", "--format", "text"],
+                 "n = 12\np = 2579\nq = 1289\ng = 1817\ng_a = 2219\n", id="instance-text"),
+    pytest.param(["instance", "--n", "12", "--seed", "1", "--keep-secret"],
+                 _INSTANCE_N12 + ',\n  "a_secret": "310"\n}\n', id="instance-keep-secret"),
+    pytest.param(["verify", "--suite", "numtheory"],
+     "PASS numtheory:fp_bijection_all_safe_primes_lt_2^12\n"
+     "PASS numtheory:fp_inverse_roundtrip\n"
+     "PASS numtheory:every_nonidentity_residue_generates\n"
+     "PASS numtheory:generator_orbits_enumerated_lt_2^9\n"
+     "PASS numtheory:euler_criterion_matches_squares_lt_2^10\n"
+     "OK (0 failing checks)\n", id="verify-numtheory"),
+    pytest.param(["verify", "--suite", "boollemmas"],
+     "PASS boollemmas:tv_equals_disagreement_n2_all_pairs\n"
+     "PASS boollemmas:short_generator_tv_floor\n"
+     "PASS boollemmas:exhaustive_min_tv_n2_m1_is_half\n"
+     "PASS boollemmas:exact_generators_are_permuted_padded\n"
+     "OK (0 failing checks)\n", id="verify-boollemmas"),
+]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("args, record", GOLDEN_GAMES,
                              ids=["-".join(a[1::2]) for a, _ in GOLDEN_GAMES])
@@ -322,6 +360,43 @@ class TestGoldenOutput:
         assert out == "".join(
             f"PASS kgen:kgen_support_uniform_n{n}\n" for n in range(3, 9)
         ) + "OK (0 failing checks)\n"
+
+    @pytest.mark.parametrize("argv, stdout", GOLDEN_COMMANDS)
+    def test_command(self, argv, stdout, capsys):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == stdout
+
+    @pytest.fixture
+    def n12_files(self, tmp_path, capsys):
+        inst, samples = tmp_path / "inst.json", tmp_path / "samples.txt"
+        assert main(["instance", "--n", "12", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["sample", "--instance", str(inst), "--key", "5", "--count", "50",
+                     "--seed", "1", "--out", str(samples)]) == 0
+        capsys.readouterr()
+        return inst, samples
+
+    def test_sample_to_stdout(self, n12_files, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--instance", str(n12_files[0]),
+                               "--key", "3", "--count", "3", "--seed", "2")
+        assert code == 0
+        assert out == (
+            "101000001100000110101101101000010011011100011001100010101011\n"
+            "010000110100000101111010101000010011011100011001100010101011\n"
+            "000100010010001001001111101000010011011100011001100010101011\n"
+        )
+
+    @pytest.mark.parametrize("argv, tail", [
+        (["--engine", "brute"], ""),
+        (["--target-key", "4"], ',\n  "kl_to_target": "inf",\n  "target_key_matched": "false"'),
+    ], ids=["brute", "wrong-target-key"])
+    def test_learn_variants_on_n12_sample(self, argv, tail, n12_files, capsys):
+        code, out, _ = run_cli(capsys, "learn", "--samples", str(n12_files[1]), *argv)
+        assert code == 0
+        assert out == (
+            '{\n  "n": "12",\n  "p": "2579",\n  "q": "1289",\n  "g": "1817",\n'
+            '  "g_a": "2219",\n  "key": "5",\n  "samples_used": "1"' + tail + "\n}\n"
+        )
 
 
 class TestParser:

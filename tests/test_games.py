@@ -1,12 +1,12 @@
 import json
 import math
-from functools import partial
 
 import pytest
 
 from genlearn import games, prf
-from genlearn.distributions import uniform_spec
-from genlearn.prf import MembershipOracle, prf_eval
+from genlearn.distributions import gen_eval, kgen_eval, uniform_spec
+from genlearn.numtheory import generate_instance
+from genlearn.seeding import make_rng
 
 
 class TestHoeffding:
@@ -134,17 +134,17 @@ class TestDistinguisherGame:
 
 class TestInferenceGame:
     def test_key_learner_strategy_passes(self):
-        result = games.run_inference_game(games.KeyLearnerStrategy, 8, 200, seed=11)
+        result = games.run_inference_game(games.KeyLearnerStrategy(), 8, 200, seed=11)
         assert result.pass_rate >= 0.95
         assert result.violations == 0
 
     def test_random_guesser_near_half(self):
-        result = games.run_inference_game(games.RandomGuessStrategy, 8, 400, seed=12)
+        result = games.run_inference_game(games.RandomGuessStrategy(), 8, 400, seed=12)
         assert abs(result.pass_rate - 0.5) <= result.ci_halfwidth
 
     def test_replaying_a_query_is_a_violation(self):
         result = games.run_inference_game(
-            games.ReplayStrategy, 6, 30, seed=13, keep_transcripts=True
+            games.ReplayStrategy(), 6, 30, seed=13, keep_transcripts=True
         )
         assert result.violations == 30
         assert result.passes == 0 and result.pass_rate == 0.0
@@ -157,19 +157,19 @@ class TestInferenceGame:
                 raise ValueError("strategy bug")
 
         with pytest.raises(ValueError, match="strategy bug"):
-            games.run_inference_game(BuggyStrategy, 6, 5, seed=17)
+            games.run_inference_game(BuggyStrategy(), 6, 5, seed=17)
 
     def test_malformed_exam_is_a_violation(self):
         class ShortExamStrategy(games.RandomGuessStrategy):
             def choose_exam(self, params, oracle, rng):
                 return "0" * (params.n - 1)
 
-        result = games.run_inference_game(ShortExamStrategy, 6, 5, seed=18)
+        result = games.run_inference_game(ShortExamStrategy(), 6, 5, seed=18)
         assert result.violations == 5 and result.passes == 0
 
     def test_transcripts_well_formed(self):
         result = games.run_inference_game(
-            games.KeyLearnerStrategy, 6, 40, seed=14, keep_transcripts=True
+            games.KeyLearnerStrategy(), 6, 40, seed=14, keep_transcripts=True
         )
         for t in result.transcripts:
             assert t.exam_string not in {x for x, _ in t.queries}
@@ -182,7 +182,7 @@ class TestInferenceGame:
         # When the decoy equals the true value the pair is two equal
         # numbers; any strategy is then at the mercy of the shuffle.
         result = games.run_inference_game(
-            games.KeyLearnerStrategy, 6, 300, seed=15, keep_transcripts=True
+            games.KeyLearnerStrategy(), 6, 300, seed=15, keep_transcripts=True
         )
         collisions = [t for t in result.transcripts if t.exam_pair[0] == t.exam_pair[1]]
         non_collisions = [t for t in result.transcripts if t.exam_pair[0] != t.exam_pair[1]]
@@ -196,20 +196,20 @@ class TestInferenceGame:
                 while True:
                     oracle.query("0" * params.n)
 
-        result = games.run_inference_game(HungryStrategy, 4, 6, seed=19, query_budget=3)
+        result = games.run_inference_game(HungryStrategy(), 4, 6, seed=19, query_budget=3)
         assert result.invalid == 6
         assert result.pass_rate is None and result.ci_halfwidth is None
         record = json.loads(json.dumps(result.to_dict()))
         assert record["pass_rate"] is None and record["ci"] is None
 
     def test_ci_and_rate_fields(self):
-        result = games.run_inference_game(games.RandomGuessStrategy, 4, 100, seed=16)
+        result = games.run_inference_game(games.RandomGuessStrategy(), 4, 100, seed=16)
         assert result.ci_halfwidth == pytest.approx(games.hoeffding_halfwidth(100))
         assert 0.0 <= result.pass_rate <= 1.0
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            games.run_inference_game(games.RandomGuessStrategy, 4, 0, seed=0)
+            games.run_inference_game(games.RandomGuessStrategy(), 4, 0, seed=0)
 
 
 class TestLearnerInferenceReduction:
@@ -258,29 +258,35 @@ class TestLearnerInferenceReduction:
         assert result.violations == 0  # fallback exams are fresh
         assert abs(result.pass_rate - 0.5) <= result.ci_halfwidth
 
-    def test_simulated_oracle_serves_generator_samples(self, inst7):
-        from genlearn.distributions import gen_eval
-        from genlearn.games import _SimulatedSampleOracle
-        from genlearn.seeding import make_rng
+    @staticmethod
+    def probe_samples(form: str, n: int = 6, trials: int = 3, seed: int = 26):
+        """Run a learner that draws 10 samples per trial and returns uniform
+        noise; yield each trial's instance, key, samples and transcript."""
+        drawn = []
 
-        mq = MembershipOracle(partial(prf_eval, inst7, 2), 3)
-        sim = _SimulatedSampleOracle(inst7, mq, "gen", make_rng(0, "sim"))
-        for _ in range(10):
-            sample = sim.sample()
-            x = sample[:3]
-            assert sample == gen_eval(inst7, 2, x)
-        assert sim.count == 10 and mq.count == 10
+        def probe_learner(oracle, n, epsilon, delta, rng):
+            drawn.append([oracle.sample() for _ in range(10)])
+            return uniform_spec(2 * n)
 
-    def test_kgen_form_has_no_suffix(self, inst7):
-        from genlearn.distributions import kgen_eval
-        from genlearn.games import _SimulatedSampleOracle
-        from genlearn.seeding import make_rng
+        reduction = games.learner_to_inference(probe_learner, form=form)
+        result = games.run_inference_game(reduction, n, trials, seed, keep_transcripts=True)
+        assert len(drawn) == len(result.transcripts) == trials
+        for i, (samples, transcript) in enumerate(zip(drawn, result.transcripts)):
+            # The harness's per-trial instance and key.
+            inst = generate_instance(n, make_rng(seed, "instance", i))
+            key = make_rng(seed, "key", i).randint(1, inst.q)
+            yield inst, key, samples, transcript
 
-        mq = MembershipOracle(partial(prf_eval, inst7, 1), 3)
-        sim = _SimulatedSampleOracle(inst7, mq, "kgen", make_rng(0, "sim"))
-        sample = sim.sample()
-        assert len(sample) == 6
-        assert sample == kgen_eval(inst7, 1, sample[:3])
+    def test_simulated_oracle_serves_generator_samples(self):
+        for inst, key, samples, transcript in self.probe_samples("gen"):
+            assert samples == [gen_eval(inst, key, s[: inst.n]) for s in samples]
+            # One membership query per sample, at the sample's x.
+            assert [x for x, _ in transcript.queries] == [s[: inst.n] for s in samples]
+
+    def test_kgen_form_has_no_suffix(self):
+        for inst, key, samples, transcript in self.probe_samples("kgen"):
+            assert samples == [kgen_eval(inst, key, s[: inst.n]) for s in samples]
+            assert [x for x, _ in transcript.queries] == [s[: inst.n] for s in samples]
 
     def test_budget_overrun_propagates_as_invalid(self):
         def hungry_learner(oracle, n, epsilon, delta, rng):
@@ -290,6 +296,7 @@ class TestLearnerInferenceReduction:
         reduction = games.learner_to_inference(hungry_learner, form="gen")
         result = games.run_inference_game(reduction, 4, 10, seed=24, query_budget=5)
         assert result.invalid == 10
+        assert reduction.case_log == []  # no trial reached guess
 
     def test_proof_default_epsilon(self):
         captured = {}
@@ -316,6 +323,6 @@ class TestResultSerialization:
             assert field in record
 
     def test_inference_json_fields(self):
-        record = games.run_inference_game(games.RandomGuessStrategy, 4, 10, seed=32).to_dict()
+        record = games.run_inference_game(games.RandomGuessStrategy(), 4, 10, seed=32).to_dict()
         for field in ("game", "n", "trials", "pass_rate", "ci", "violations", "seed"):
             assert field in record

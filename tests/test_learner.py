@@ -145,7 +145,7 @@ class TestLearnFromSample:
 
     def test_feasibility_cap(self, inst7):
         with pytest.raises(ValueError, match="cap"):
-            learn_from_sample("0" * 5 * 41, max_n=40)
+            learn_from_sample("0" * 5 * 41)
 
 
 class TestPacGeneratorLearn:
