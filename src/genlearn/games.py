@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from .distributions import (
@@ -48,7 +48,6 @@ __all__ = [
     "HOEFFDING_ALPHA",
     "hoeffding_halfwidth",
     "AdvantageEstimate",
-    "InferenceTranscript",
     "InferenceResult",
     "run_distinguisher_game",
     "run_inference_game",
@@ -57,7 +56,6 @@ __all__ = [
     "coin_flip_adversary",
     "KeyLearnerStrategy",
     "RandomGuessStrategy",
-    "ReplayStrategy",
     "exact_generator_learner",
     "uniform_distribution_learner",
     "learner_to_inference",
@@ -78,6 +76,11 @@ def default_query_budget(n: int) -> int:
 
 def _random_bits(rng: random.Random, n: int) -> str:
     return format(rng.getrandbits(n), f"0{n}b")
+
+
+def _record(result) -> dict:
+    """A result's fields in declaration order, with ``ci_halfwidth`` keyed "ci"."""
+    return {("ci" if k == "ci_halfwidth" else k): v for k, v in asdict(result).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +112,7 @@ class AdvantageEstimate:
     invalid_random: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "flavor": self.flavor,
-            "n": self.n,
-            "trials": self.trials,
-            "p_real": self.p_real,
-            "p_random": self.p_random,
-            "advantage": self.advantage,
-            "ci": self.ci_halfwidth,
-            "invalid_real": self.invalid_real,
-            "invalid_random": self.invalid_random,
-            "seed": self.seed,
-        }
+    to_dict = _record
 
 
 def run_distinguisher_game(
@@ -247,19 +237,6 @@ def coin_flip_adversary(params, oracle, rng: random.Random) -> int:
 
 
 @dataclass(frozen=True)
-class InferenceTranscript:
-    """One inference trial: the query log, exam pair as presented, and outcome."""
-
-    queries: tuple[tuple[str, int], ...]
-    exam_string: str
-    exam_pair: tuple[int, int]
-    true_index: int
-    guess: int
-    passed: bool
-    violation: bool = False
-
-
-@dataclass(frozen=True)
 class InferenceResult:
     game: str
     n: int
@@ -270,20 +247,8 @@ class InferenceResult:
     pass_rate: float | None
     ci_halfwidth: float | None
     seed: int
-    transcripts: tuple[InferenceTranscript, ...] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "n": self.n,
-            "trials": self.trials,
-            "passes": self.passes,
-            "violations": self.violations,
-            "invalid": self.invalid,
-            "pass_rate": self.pass_rate,
-            "ci": self.ci_halfwidth,
-            "seed": self.seed,
-        }
+    to_dict = _record
 
 
 def run_inference_game(
@@ -292,7 +257,6 @@ def run_inference_game(
     trials: int,
     seed: int,
     query_budget: int | None = None,
-    keep_transcripts: bool = False,
     game_name: str = "infer",
 ) -> InferenceResult:
     """Play the exam game: fresh instance and key per trial.
@@ -301,17 +265,19 @@ def run_inference_game(
     rng)`` starts a trial and ``guess(pair, rng) -> index`` ends it.  The
     harness enforces the exam rules (an exam that is not an n-bit string,
     or a reused query point, is a protocol violation, scored as a failed
-    trial), draws the decoy value uniformly from {1, ..., q}, and shuffles
-    the pair before presenting it.  A budget overrun in ``choose_exam``
-    invalidates the trial; any other exception from the strategy
-    propagates.  The rate and its Hoeffding half-width are over the scored
-    (not invalid) trials, and ``None`` when there are none.
+    trial that never reaches ``guess``), draws the decoy value uniformly
+    from {1, ..., q}, and shuffles the pair before presenting it.  A
+    budget overrun in ``choose_exam`` invalidates the trial; any other
+    exception from the strategy propagates.  The result holds counts
+    only; a caller that needs per-trial detail wraps the strategy, which
+    sees the oracle and the presented pair.  The rate and its Hoeffding
+    half-width are over the scored (not invalid) trials, and ``None``
+    when there are none.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = default_query_budget(n) if query_budget is None else query_budget
     passes = violations = invalid = 0
-    transcripts: list[InferenceTranscript] = []
 
     for i in range(trials):
         inst = generate_instance(n, make_rng(seed, "instance", i))
@@ -330,23 +296,14 @@ def run_inference_game(
             violations += 1
             continue
         # Freshness rule: the exam string must be new.  Hard-enforced.
-        violation = exam in oracle.queried
-        if violation:
+        if exam in oracle.queried:
             violations += 1
-            pair, true_index, guess, passed = (0, 0), 0, 0, False
-        else:
-            true_value = prf_eval(inst, key, exam)
-            decoy = exam_rng.randint(1, inst.q)
-            true_index = exam_rng.randrange(2)
-            pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
-            guess = strategy.guess(pair, rng)
-            passed = guess == true_index
-            passes += 1 if passed else 0
-        if keep_transcripts:
-            queries = tuple(oracle.transcript)
-            transcripts.append(
-                InferenceTranscript(queries, exam, pair, true_index, guess, passed, violation)
-            )
+            continue
+        true_value = prf_eval(inst, key, exam)
+        decoy = exam_rng.randint(1, inst.q)
+        true_index = exam_rng.randrange(2)
+        pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
+        passes += 1 if strategy.guess(pair, rng) == true_index else 0
 
     scored = trials - invalid
     return InferenceResult(
@@ -359,7 +316,6 @@ def run_inference_game(
         pass_rate=passes / scored if scored else None,
         ci_halfwidth=hoeffding_halfwidth(scored) if scored else None,
         seed=seed,
-        transcripts=tuple(transcripts) if keep_transcripts else None,
     )
 
 
@@ -402,18 +358,6 @@ class RandomGuessStrategy:
         return rng.randrange(2)
 
 
-class ReplayStrategy:
-    """Misbehaving reference strategy: replays a queried point as its exam."""
-
-    def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
-        x = _random_bits(rng, params.n)
-        oracle.query(x)
-        return x
-
-    def guess(self, pair, rng) -> int:
-        return rng.randrange(2)
-
-
 # ---------------------------------------------------------------------------
 # Learner-to-inference reduction
 # ---------------------------------------------------------------------------
@@ -436,25 +380,22 @@ class _Reduction:
     value that ``guess`` reads.
     """
 
-    def __init__(self, dist_learner, epsilon: float | None, delta: float, form: str):
+    def __init__(self, dist_learner, form: str):
         self.dist_learner = dist_learner
-        self.epsilon = epsilon
-        self.delta = delta
         self.form = form
         self.case_log: list[str] = []
         self._y: int | None = None
 
     def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
         n = params.n
-        # Default accuracy targets handed to the learner: log2(n) and 1/2.
-        epsilon = self.epsilon if self.epsilon is not None else math.log2(n)
         # SAMPLE through the membership handle: its ``queried`` set is
         # exactly the points the learner saw.
         suffix = encode_params(params) if self.form == "gen" else ""
         target = GeneratorSpec(n, 2 * n + len(suffix),
                                lambda x: x + bin_n(oracle.query(x), n) + suffix)
         try:
-            spec = self.dist_learner(SampleOracle(target, rng), n, epsilon, self.delta, rng)
+            # The proof's accuracy targets for the learner: log2(n) and 1/2.
+            spec = self.dist_learner(SampleOracle(target, rng), n, math.log2(n), 0.5, rng)
             drawn = spec.eval(_random_bits(rng, spec.seed_bits))
             self._y = bits_to_int(drawn[n : 2 * n])
         except ValueError:
@@ -481,14 +422,13 @@ class _Reduction:
         return guess
 
 
-def learner_to_inference(
-    dist_learner, epsilon: float | None = None, delta: float = 0.5, form: str = "gen"
-) -> _Reduction:
+def learner_to_inference(dist_learner, form: str = "gen") -> _Reduction:
     """Wrap a generator learner as an inference strategy.
 
     Per trial: hand the learner a ``SampleOracle`` whose generator draws x
     uniformly and answers x || BIN_n(F(k, x)) by one membership query
     ("gen" samples carry the parameter suffix, "kgen" samples do not),
+    with the proof's accuracy targets epsilon = log2(n) and delta = 1/2;
     draw one string x || y from the generator it returns, then play out
     three cases: a fresh x becomes the exam and y is matched against the
     presented pair (case a/b); a reused x, or a learner failure, falls
@@ -500,4 +440,4 @@ def learner_to_inference(
     """
     if form not in ("kgen", "gen"):
         raise ValueError(f"unknown sample form {form!r}")
-    return _Reduction(dist_learner, epsilon, delta, form)
+    return _Reduction(dist_learner, form)

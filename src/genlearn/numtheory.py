@@ -358,10 +358,16 @@ class GroupInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupInstance":
+        def field(name: str) -> int:
+            # Fields are decimal strings; a JSON number or boolean is malformed.
+            if not isinstance(data[name], str):
+                raise TypeError(f"field {name!r} is not a decimal string")
+            return int(data[name])
+
         try:
-            p, g, g_a, n = (int(data[field]) for field in ("p", "g", "g_a", "n"))
-            a_secret = int(data["a_secret"]) if "a_secret" in data else None
-            q = int(data["q"]) if "q" in data else None
+            p, g, g_a, n = (field(name) for name in ("p", "g", "g_a", "n"))
+            a_secret = field("a_secret") if "a_secret" in data else None
+            q = field("q") if "q" in data else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed instance record: {exc}") from exc
         inst = validate_instance(p, g, g_a, n=n, a_secret=a_secret)

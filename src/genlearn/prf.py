@@ -155,7 +155,6 @@ class MembershipOracle:
         self.max_queries = max_queries
         self.count = 0
         self.queried: set[str] = set()
-        self.transcript: list[tuple[str, int]] = []
 
     def query(self, x: str) -> int:
         check_bits(x, self.n_bits)
@@ -164,7 +163,6 @@ class MembershipOracle:
         self.count += 1
         value = self._fn(x)
         self.queried.add(x)
-        self.transcript.append((x, value))
         return value
 
 

@@ -97,12 +97,22 @@ class TestSampleCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("field, value", [("q", None), ("a_secret", [1]), ("g", "x")],
-                             ids=["null-q", "list-a-secret", "non-numeric-g"])
-    def test_malformed_instance_record(self, field, value, instance_file, capsys):
-        record = json.loads(instance_file.read_text())
-        record[field] = value
-        instance_file.write_text(json.dumps(record))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: {**r, "q": None},
+            lambda r: {**r, "a_secret": [1]},
+            lambda r: {**r, "g": "x"},
+            lambda r: {**r, "p": int(r["p"]) + 0.9},
+            lambda r: {**r, "n": float(r["n"])},
+            lambda r: {**r, "g": True},
+            lambda r: list(r.values()),
+        ],
+        ids=["null-q", "list-a-secret", "non-numeric-g", "float-p", "float-n", "bool-g",
+             "top-level-array"],
+    )
+    def test_malformed_instance_record(self, edit, instance_file, capsys):
+        instance_file.write_text(json.dumps(edit(json.loads(instance_file.read_text()))))
         code, out, err = run_cli(capsys, "sample", "--instance", str(instance_file),
                                  "--key", "1", "--count", "1", "--seed", "0")
         assert code == 2 and out == ""

@@ -9,6 +9,18 @@ from genlearn.numtheory import generate_instance
 from genlearn.seeding import make_rng
 
 
+class ReplayStrategy:
+    """Misbehaving strategy: replays a queried point as its exam."""
+
+    def choose_exam(self, params, oracle, rng):
+        x = format(rng.getrandbits(params.n), f"0{params.n}b")
+        oracle.query(x)
+        return x
+
+    def guess(self, pair, rng):
+        return rng.randrange(2)
+
+
 class TestHoeffding:
     def test_halfwidth_formula(self):
         assert games.hoeffding_halfwidth(400) == pytest.approx(
@@ -143,12 +155,9 @@ class TestInferenceGame:
         assert abs(result.pass_rate - 0.5) <= result.ci_halfwidth
 
     def test_replaying_a_query_is_a_violation(self):
-        result = games.run_inference_game(
-            games.ReplayStrategy(), 6, 30, seed=13, keep_transcripts=True
-        )
+        result = games.run_inference_game(ReplayStrategy(), 6, 30, seed=13)
         assert result.violations == 30
         assert result.passes == 0 and result.pass_rate == 0.0
-        assert all(t.violation for t in result.transcripts)
 
     def test_strategy_error_propagates(self):
         # Only a malformed or reused exam is a violation; a strategy bug is not.
@@ -168,27 +177,42 @@ class TestInferenceGame:
         assert result.violations == 5 and result.passes == 0
 
     def test_transcripts_well_formed(self):
-        result = games.run_inference_game(
-            games.KeyLearnerStrategy(), 6, 40, seed=14, keep_transcripts=True
-        )
-        for t in result.transcripts:
-            assert t.exam_string not in {x for x, _ in t.queries}
-            assert t.guess in (0, 1) and t.true_index in (0, 1)
-            assert t.passed == (t.guess == t.true_index)
-            # the true value sits at the recorded index
-            assert t.exam_pair[t.true_index] >= 1
+        # Each presented pair holds the true value, which the key learner
+        # predicts, at one of its two positions.
+        class CheckingStrategy(games.KeyLearnerStrategy):
+            pairs = 0
+
+            def choose_exam(self, params, oracle, rng):
+                exam = super().choose_exam(params, oracle, rng)
+                assert exam not in oracle.queried
+                return exam
+
+            def guess(self, pair, rng):
+                assert self._predicted in pair and all(v >= 1 for v in pair)
+                self.pairs += 1
+                return super().guess(pair, rng)
+
+        strategy = CheckingStrategy()
+        result = games.run_inference_game(strategy, 6, 40, seed=14)
+        assert result.violations == 0 and strategy.pairs == 40
 
     def test_decoy_collision_scores_half(self):
         # When the decoy equals the true value the pair is two equal
-        # numbers; any strategy is then at the mercy of the shuffle.
-        result = games.run_inference_game(
-            games.KeyLearnerStrategy(), 6, 300, seed=15, keep_transcripts=True
-        )
-        collisions = [t for t in result.transcripts if t.exam_pair[0] == t.exam_pair[1]]
-        non_collisions = [t for t in result.transcripts if t.exam_pair[0] != t.exam_pair[1]]
-        assert all(t.passed for t in non_collisions)
-        if collisions:
-            assert 0 <= sum(t.passed for t in collisions) <= len(collisions)
+        # numbers; any strategy is then at the mercy of the shuffle.  The
+        # key learner loses no other trial.
+        class RecordingStrategy(games.KeyLearnerStrategy):
+            def __init__(self):
+                self.pairs = []
+
+            def guess(self, pair, rng):
+                self.pairs.append(pair)
+                return super().guess(pair, rng)
+
+        strategy = RecordingStrategy()
+        result = games.run_inference_game(strategy, 6, 300, seed=15)
+        assert len(strategy.pairs) == result.trials == 300
+        collisions = sum(a == b for a, b in strategy.pairs)
+        assert result.trials - result.passes <= collisions
 
     def test_no_scored_trial_has_no_rate(self):
         class HungryStrategy(games.RandomGuessStrategy):
@@ -261,32 +285,42 @@ class TestLearnerInferenceReduction:
     @staticmethod
     def probe_samples(form: str, n: int = 6, trials: int = 3, seed: int = 26):
         """Run a learner that draws 10 samples per trial and returns uniform
-        noise; yield each trial's instance, key, samples and transcript."""
+        noise; check that each trial spends one membership query per sample,
+        at the sample's x, and yield its instance, key and samples."""
         drawn = []
 
         def probe_learner(oracle, n, epsilon, delta, rng):
             drawn.append([oracle.sample() for _ in range(10)])
             return uniform_spec(2 * n)
 
-        reduction = games.learner_to_inference(probe_learner, form=form)
-        result = games.run_inference_game(reduction, n, trials, seed, keep_transcripts=True)
-        assert len(drawn) == len(result.transcripts) == trials
-        for i, (samples, transcript) in enumerate(zip(drawn, result.transcripts)):
+        class Probe:
+            def __init__(self):
+                self.reduction = games.learner_to_inference(probe_learner, form=form)
+
+            def choose_exam(self, params, oracle, rng):
+                exam = self.reduction.choose_exam(params, oracle, rng)
+                assert oracle.count == 10
+                assert oracle.queried == {s[: params.n] for s in drawn[-1]}
+                return exam
+
+            def guess(self, pair, rng):
+                return self.reduction.guess(pair, rng)
+
+        games.run_inference_game(Probe(), n, trials, seed)
+        assert len(drawn) == trials
+        for i, samples in enumerate(drawn):
             # The harness's per-trial instance and key.
             inst = generate_instance(n, make_rng(seed, "instance", i))
             key = make_rng(seed, "key", i).randint(1, inst.q)
-            yield inst, key, samples, transcript
+            yield inst, key, samples
 
     def test_simulated_oracle_serves_generator_samples(self):
-        for inst, key, samples, transcript in self.probe_samples("gen"):
+        for inst, key, samples in self.probe_samples("gen"):
             assert samples == [gen_eval(inst, key, s[: inst.n]) for s in samples]
-            # One membership query per sample, at the sample's x.
-            assert [x for x, _ in transcript.queries] == [s[: inst.n] for s in samples]
 
     def test_kgen_form_has_no_suffix(self):
-        for inst, key, samples, transcript in self.probe_samples("kgen"):
+        for inst, key, samples in self.probe_samples("kgen"):
             assert samples == [kgen_eval(inst, key, s[: inst.n]) for s in samples]
-            assert [x for x, _ in transcript.queries] == [s[: inst.n] for s in samples]
 
     def test_budget_overrun_propagates_as_invalid(self):
         def hungry_learner(oracle, n, epsilon, delta, rng):
