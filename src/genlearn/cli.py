@@ -214,10 +214,8 @@ def _suite_boollemmas() -> list[tuple[str, bool]]:
     checks = []
     # Disagreement identity, all 256 ordered pairs at n = 2.
     fns = [bf.BoolFn(2, format(v, "04b")) for v in range(16)]
-    ok = all(
-        tv_distance(bf.function_table(h), bf.function_table(c)) == bf.disagreement_prob(h, c)
-        for h, c in itertools.product(fns, repeat=2)
-    )
+    pairs = itertools.product(zip(fns, map(bf.function_table, fns)), repeat=2)
+    ok = all(tv_distance(a, b) == bf.disagreement_prob(h, c) for (h, a), (c, b) in pairs)
     checks.append(("tv_equals_disagreement_n2_all_pairs", ok))
     # Short-generator optimum and the m < n floor.
     ok = True

@@ -16,10 +16,12 @@ single seeds is described once, in :mod:`genlearn.prf`.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .numtheory import GroupInstance
@@ -120,19 +122,28 @@ def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
 def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     """Every x || BIN_n(F(key, x)) || suffix, x ascending, one tree level at a time.
 
-    Level j lists F(key, .) on the j-bit prefixes in ascending order, each
-    node followed by its 0-child and then its 1-child.  Every power is a
-    residue, so each folds with ``min(y, p - y)`` as in ``prf.ggm_walk``.
+    Each node b in 1..q has children fold(g^b) and fold(g_a^b), looked up in
+    two rows built with one multiplication per entry.  Level j lists the
+    j-bit prefixes in ascending order, each node's 0-child before its 1-child.
     """
     if not 1 <= key <= inst.q:
         raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
-    n, p, g, g_a = inst.n, inst.p, inst.g, inst.g_a
+    n, p = inst.n, inst.p
+    rows = [], []
+    for row, base in zip(rows, (inst.g, inst.g_a)):
+        y = 1
+        for _ in range(inst.q + 1):
+            row.append(min(y, p - y))
+            y = y * base % p
     level = [key]
-    for _ in range(n - 1):
-        level = [min(y, p - y) for b in level for y in (pow(g, b, p), pow(g_a, b, p))]
-    leaves = (y for b in level for y in (pow(g, b, p), pow(g_a, b, p)))
+    for _ in range(n):
+        parents, level = level, [0] * (2 * len(level))
+        level[0::2] = map(rows[0].__getitem__, parents)
+        level[1::2] = map(rows[1].__getitem__, parents)
+    # One character per leaf (q < 0x110000 in budget): the rows go before the outputs stream.
+    leaves = "".join(map(chr, level))
     fmt = f"0{2 * n}b"
-    return (format(x << n | min(y, p - y), fmt) + suffix for x, y in enumerate(leaves))
+    return (format(x << n | ord(y), fmt) + suffix for x, y in enumerate(leaves))
 
 
 def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
@@ -191,26 +202,40 @@ class DistTable:
     probs: dict
 
     def __post_init__(self):
-        for bits, prob in self.probs.items():
-            check_bits(bits, self.n_bits)
-            if prob < 0:
-                raise ValueError(f"negative probability for {bits}")
-        if self.is_exact():
-            # Summed in integers over one common denominator.
-            den = math.lcm(*{prob.denominator for prob in self.probs.values()})
-            num = sum(prob.numerator * (den // prob.denominator) for prob in self.probs.values())
-            total = Fraction(num, den)
-            if total != 1:
-                raise ValueError(f"exact table sums to {total}, not 1")
+        probs, exact = self.probs, self.is_exact()
+        values = probs.values()
+        if exact:
+            # One Fraction per count in ``exact_table``: each is checked and scaled once.
+            distinct = dict(zip(map(id, values), values))
+            den = math.lcm(*{prob.denominator for prob in distinct.values()})
+            scaled = {i: prob.numerator * (den // prob.denominator) for i, prob in distinct.items()}
+            values = scaled.values()
+        # C-level passes decide the common case (``0 <= prob`` fails on NaN); the
+        # per-entry loop runs only to raise the first bad entry's error.
+        if not (
+            set(map(type, probs)) <= {str}
+            and set(map(len, probs)) <= {self.n_bits}
+            and not any(map(str.translate, probs, repeat(str.maketrans("", "", "01"))))
+            and set(map(type, values)) <= {Fraction, float, int}
+            and all(map(operator.le, repeat(0), values))
+        ):
+            for bits, prob in probs.items():
+                check_bits(bits, self.n_bits)
+                if prob < 0:
+                    raise ValueError(f"negative probability for {bits}")
+                if prob != prob:
+                    raise ValueError(f"probability for {bits} is NaN")
+        if exact:
+            num = sum(map(scaled.__getitem__, map(id, probs.values())))
+            if num != den:
+                raise ValueError(f"exact table sums to {Fraction(num, den)}, not 1")
         else:
-            total = 0
-            for prob in self.probs.values():
-                total += prob
+            total = reduce(operator.add, probs.values(), 0)
             if abs(total - 1) > 1e-12:
                 raise ValueError(f"table sums to {total}, outside tolerance")
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.probs.values())
+        return all(issubclass(t, Fraction) for t in set(map(type, self.probs.values())))
 
     def prob(self, bits: str):
         """The stored probability of ``bits``; 0 for strings absent from the table."""
@@ -272,6 +297,11 @@ def tv_distance(p: DistTable, q: DistTable):
     """Total variation distance (half L1); exact when both tables are exact."""
     if p.n_bits != q.n_bits:
         raise ValueError(f"domain mismatch: {p.n_bits} vs {q.n_bits} bits")
+    if p.is_exact() and q.is_exact():
+        # Summed in integers over the lcm of every denominator.
+        den = math.lcm(*{prob.denominator for t in (p, q) for prob in t.probs.values()})
+        a, b = ({x: v.numerator * (den // v.denominator) for x, v in t.probs.items()} for t in (p, q))
+        return Fraction(sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys()), 2 * den)
     total = 0
     # Sorted union keeps float summation order independent of hash seeding.
     for bits in sorted(set(p.probs) | set(q.probs)):

@@ -359,10 +359,12 @@ class GroupInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupInstance":
         def field(name: str) -> int:
-            # Fields are decimal strings; a JSON number or boolean is malformed.
+            # Fields are decimal strings as ``str(int)`` writes them, nothing else.
             if not isinstance(data[name], str):
                 raise TypeError(f"field {name!r} is not a decimal string")
-            return int(data[name])
+            if str(value := int(data[name])) != data[name]:
+                raise ValueError(f"field {name!r} is not a canonical decimal string")
+            return value
 
         try:
             p, g, g_a, n = (field(name) for name in ("p", "g", "g_a", "n"))

@@ -12,8 +12,8 @@ g or g_a is a residue (instances are built only by ``generate_instance``
 or ``validate_instance``), so each level folds with ``min(y, p - y)``
 instead of the Euler-checked ``f_p``.
 
-Each level costs one modular power.  The package takes group powers one
-of three ways, by how often a base recurs:
+Each level of a walk costs one modular power.  The package takes group
+powers one of three ways, by how often a base recurs:
 
 * builtin ``pow`` (square-and-multiply) in ``ggm_walk``, for every single
   walk: ``prf_eval``, the oracles, and any function evaluated once, such
@@ -25,10 +25,10 @@ of three ways, by how often a base recurs:
   are by ``sample``.  Its first walk is ``prf_eval``; its second builds a
   table for g and one for g_a, and every later level is a table power (at
   n = 64, about 3.4 us against 22 us for ``pow``).
-* tree expansion with builtin ``pow`` in ``distributions``, for exact
-  tables, which walk no seed: the whole tree is expanded level by level,
-  two powers per node, 2^(n+1) - 2 powers where walking each seed from the
-  root takes n * 2^n.  The exponents are only n bits.
+* fold rows in ``distributions``, for exact tables, which walk no seed:
+  one row per base holds the folded powers of every seed b in 1..q, one
+  multiplication each, and the tree is expanded level by level by lookups
+  in them: 2q multiplications where walking each seed takes n * 2^n powers.
 
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.

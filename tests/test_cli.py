@@ -107,9 +107,15 @@ class TestSampleCommand:
             lambda r: {**r, "n": float(r["n"])},
             lambda r: {**r, "g": True},
             lambda r: list(r.values()),
+            lambda r: {**r, "n": " " + r["n"]},
+            lambda r: {**r, "p": r["p"][0] + "_" + r["p"][1:]},
+            lambda r: {**r, "g": "+" + r["g"]},
+            lambda r: {**r, "g_a": r["g_a"] + " "},
+            lambda r: {**r, "q": "0" + r["q"]},
         ],
         ids=["null-q", "list-a-secret", "non-numeric-g", "float-p", "float-n", "bool-g",
-             "top-level-array"],
+             "top-level-array", "padded-n", "underscore-p", "plus-g", "trailing-space-g-a",
+             "leading-zero-q"],
     )
     def test_malformed_instance_record(self, edit, instance_file, capsys):
         instance_file.write_text(json.dumps(edit(json.loads(instance_file.read_text()))))

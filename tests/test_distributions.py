@@ -201,6 +201,10 @@ class TestExactTable:
         ({"00": Fraction(-1, 2), "0x": Fraction(3, 2)}, "negative probability for 00"),
         ({"0x": Fraction(3, 2), "01": Fraction(-1, 2)}, "not a bitstring: '0x'"),
         ({"01": Fraction(1, 4), "1": Fraction(-1, 4)}, "bitstring '1' has length 1"),
+        # nan < 0 and abs(nan - 1) > 1e-12 are both false: only an entry check sees NaN.
+        ({"00": math.nan}, "probability for 00 is NaN"),
+        ({"00": math.nan, "01": 0.5}, "probability for 00 is NaN"),
+        ({"01": Fraction(1, 2), "00": math.nan}, "probability for 00 is NaN"),
     ])
     def test_validation_messages(self, probs, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -214,6 +218,82 @@ class TestExactTable:
     ])
     def test_valid_mixed_denominators_and_types(self, probs):
         assert dist.DistTable(2, probs).probs == probs
+
+    @staticmethod
+    def _per_entry_reference(n_bits, probs):
+        # The validation as one loop per entry, then the sum; NaN is rejected
+        # per entry after the sign.
+        for bits, prob in probs.items():
+            prf.check_bits(bits, n_bits)
+            if prob < 0:
+                raise ValueError(f"negative probability for {bits}")
+            if prob != prob:
+                raise ValueError(f"probability for {bits} is NaN")
+        if all(isinstance(v, Fraction) for v in probs.values()):
+            total = sum(probs.values(), Fraction(0))
+            if total != 1:
+                raise ValueError(f"exact table sums to {total}, not 1")
+        else:
+            total = 0
+            for prob in probs.values():
+                total += prob
+            if abs(total - 1) > 1e-12:
+                raise ValueError(f"table sums to {total}, outside tolerance")
+
+    _keys = st.one_of(
+        st.text("01", min_size=3, max_size=3),  # good at n_bits = 3
+        st.text("01", max_size=5),  # ragged
+        st.text("01x2 _", min_size=1, max_size=4),  # non-bit characters
+        st.integers(0, 9), st.none(), st.binary(max_size=3),  # not str
+    )
+    _values = st.one_of(
+        st.fractions(0, 1, max_denominator=12),
+        st.floats(0, 1),
+        st.fractions(-1, 0, max_denominator=12),
+        st.floats(-1, 0),
+        st.just(math.nan),
+        st.integers(-1, 1), st.booleans(), st.none(), st.text("01", max_size=1),  # other types
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(probs=st.dictionaries(_keys, _values, max_size=5))
+    def test_validation_matches_per_entry_reference(self, probs):
+        self._check_against_reference(probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        exact=st.lists(st.booleans(), min_size=8, max_size=8),
+        bad=st.sampled_from([None, "key", "ragged", "negative", "nan"]),
+        where=st.integers(0, 7),
+    )
+    def test_validation_matches_reference_near_valid_tables(self, weights, exact, bad, where):
+        # Tables that sum to 1 (or nearly), with at most one bad entry.
+        weights[0] += 1
+        total = sum(weights)
+        probs = {
+            dist.bin_n(v, 3): Fraction(w, total) if exact[v] else w / total
+            for v, w in enumerate(weights)
+        }
+        keys = list(probs)
+        key = keys[where % len(keys)]
+        if bad == "key":
+            probs["0x1"] = probs.pop(key)
+        elif bad == "ragged":
+            probs["0"] = probs.pop(key)
+        elif bad in ("negative", "nan"):
+            probs[key] = -probs[key] if bad == "negative" else math.nan
+        self._check_against_reference(probs)
+
+    def _check_against_reference(self, probs):
+        def outcome(build):
+            try:
+                build(3, probs)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert outcome(dist.DistTable) == outcome(self._per_entry_reference)
 
     def test_key_out_of_range(self, inst7):
         for make in (dist.kgen_spec, dist.gen_spec):
@@ -229,6 +309,10 @@ class TestExactTable:
         key = random.Random(n).randint(1, inst.q)
         for make, reference in ((dist.kgen_spec, dist.kgen_eval),
                                 (dist.gen_spec, dist.gen_eval)):
+            # Keys 1 and q reach the first and the last entry of the fold rows.
+            for k in (1, inst.q):
+                want = [reference(inst, k, dist.bin_n(v, n)) for v in range(1 << n)]
+                assert list(make(inst, k).outputs()) == want
             outputs = [reference(inst, key, dist.bin_n(v, n)) for v in range(1 << n)]
             assert list(make(inst, key).outputs()) == outputs
             for exact in (True, False):
@@ -300,6 +384,37 @@ class TestDistances:
         assert dist.tv_distance(a, b) == 1
         half = dist.DistTable(2, {"00": Fraction(1, 2), "01": Fraction(1, 2)})
         assert dist.tv_distance(half, table) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tv_matches_sorted_union_fraction_formula(self, seed):
+        def reference(p, q):
+            total = 0
+            for bits in sorted(set(p.probs) | set(q.probs)):
+                total += abs(p.probs.get(bits, 0) - q.probs.get(bits, 0))
+            return total / 2
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+
+        def random_table(exact):
+            keys = [dist.bin_n(v, n) for v in range(1 << n) if rng.random() < 0.7]
+            keys = keys or [dist.bin_n(rng.randrange(1 << n), n)]
+            # Mixed denominators: each entry has its own.
+            parts = [Fraction(rng.randint(0, 5), rng.randint(1, 9)) for _ in keys[1:]]
+            rest = 1 - sum(parts, Fraction(0))
+            while rest < 0:
+                parts = [part / 2 for part in parts]
+                rest = 1 - sum(parts, Fraction(0))
+            probs = dict(zip(keys, [rest, *parts]))
+            if not exact:
+                probs = {k: float(v) for k, v in probs.items()}
+            return dist.DistTable(n, probs)
+
+        for p_exact, q_exact in itertools.product((True, False), repeat=2):
+            p, q = random_table(p_exact), random_table(q_exact)
+            for a, b in ((p, q), (q, p), (p, p)):
+                got, want = dist.tv_distance(a, b), reference(a, b)
+                assert got == want and type(got) is type(want)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 5))
