@@ -122,9 +122,9 @@ def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
 def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     """Every x || BIN_n(F(key, x)) || suffix, x ascending, one tree level at a time.
 
-    Each node b in 1..q has children fold(g^b) and fold(g_a^b), looked up in
-    two rows built with one multiplication per entry.  Level j lists the
-    j-bit prefixes in ascending order, each node's 0-child before its 1-child.
+    Each node b in 1..q has children fold(g^b) and fold(g_a^b) (residues, so
+    ``min(y, p - y)`` folds them), looked up in two rows of one multiplication
+    per entry.  Level j lists the j-bit prefixes in order, 0-child first.
     """
     if not 1 <= key <= inst.q:
         raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
