@@ -87,10 +87,12 @@ class GeneratorSpec:
         return out
 
     def outputs(self) -> Iterable[str]:
-        """Every output, seeds in ascending order, unchecked."""
+        """Every output, seeds in ascending order, unchecked; at most 2^20 seeds."""
+        m = self.seed_bits
+        if m > ENUMERATION_LIMIT:
+            raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
         if self.outputs_fn is not None:
             return self.outputs_fn()
-        m = self.seed_bits
         return map(self.eval_fn, (format(v, f"0{m}b") for v in range(1 << m)))
 
 
@@ -256,13 +258,10 @@ def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
     their first occurrence; all entries with the same count share one
     ``Fraction``.  ``exact=False`` returns the same table ``to_float()``.
     """
-    m = spec.seed_bits
-    if m > ENUMERATION_LIMIT:
-        raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
     counts: dict = {}
     for y in spec.outputs():
         counts[y] = counts.get(y, 0) + 1
-    probs = {c: Fraction(c, 1 << m) for c in set(counts.values())}
+    probs = {c: Fraction(c, 1 << spec.seed_bits) for c in set(counts.values())}
     for y, c in counts.items():
         counts[y] = probs[c]
     table = DistTable(spec.out_bits, counts)

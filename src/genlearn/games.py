@@ -403,6 +403,8 @@ class _Reduction:
         if drawn is not None and drawn[:n] not in oracle.queried:
             return drawn[:n]
         self._y = None
+        if len(oracle.queried) == 1 << n:
+            return min(oracle.queried)  # no fresh exam exists: a violation
         while True:
             exam = _random_bits(rng, n)
             if exam not in oracle.queried:
@@ -432,7 +434,9 @@ def learner_to_inference(dist_learner, form: str = "gen") -> _Reduction:
     draw one string x || y from the generator it returns, then play out
     three cases: a fresh x becomes the exam and y is matched against the
     presented pair (case a/b); a reused x, or a learner failure, falls
-    back to a fresh random exam and a coin-flip guess (case c).
+    back to a fresh random exam and a coin-flip guess (case c).  With all
+    2^n inputs queried no exam is fresh: a queried one is returned and
+    scored as a violation.
     ``case_log`` on the returned object collects one of "a"/"b"/"c" per
     trial that reaches ``guess``: a trial invalidated by a budget overrun
     or scored as a violation leaves no entry, so the cases sum to

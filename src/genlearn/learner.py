@@ -8,7 +8,7 @@ oracle, so exactness holds at bit sizes where sqrt(q) work is feasible;
 ``learn_from_sample`` refuses samples with n above ``MAX_DLOG_N`` = 40.
 
 The default engine builds one baby-step giant-step table for base g per
-key (``numtheory.DlogTable``, ceil(sqrt(q)) entries, dropped when the key
+key (``numtheory.DlogTable``, ceil(sqrt(2q)) entries, dropped when the key
 is found) and answers all n levels from it.  Base-g_a logs come from the
 same table: with a = log_g(g_a), invertible mod the prime q because
 g_a != 1, log_{g_a}(y) = log_g(y) * a^-1 mod q.  ``engine="brute"`` walks
@@ -40,8 +40,9 @@ __all__ = [
     "pac_generator_learn",
 ]
 
-# Largest n whose keys are recovered: the baby-step table holds ceil(sqrt(q))
-# entries, up to about 741k (roughly 100 MB) at n = 40.
+# Largest n whose keys are recovered: the baby-step table holds ceil(sqrt(2q))
+# entries, up to 2**20 at n = 40 (1,036,114 entries in 75 MB by tracemalloc
+# for q = 536,765,121,341; 85 MB at the peak of building it).
 MAX_DLOG_N = 40
 
 

@@ -225,31 +225,42 @@ class DlogTable:
     ``g`` must generate QR_p (a residue other than 1), and ``log`` must be
     given residues: callers check both once, where the values enter, and
     the table trusts them.  g has prime order q, so its first q powers are
-    distinct and each of the m = ceil(sqrt(q)) baby steps g**j gets its own
-    entry.  Building costs m multiplications and memory for m entries;
-    every log after that costs at most m giant steps, so one table serves
-    any number of logs in the same group.
+    distinct.  Each of the m = ceil(sqrt(2q)) baby steps g**j maps to
+    j & 0xFF, a cached small int, so an entry costs about 70 bytes, not
+    115 with an int object per index.  A log takes at most ceil(q/m) giant
+    steps, then recovers j from its low byte in at most m/256
+    multiplications.  With many logs per table, the sqrt(2)-larger table
+    costs less in all (Kuhn and Struik, SAC 2001) and still fits in fewer
+    bytes than ceil(sqrt(q)) entries with full indices.
     """
 
     def __init__(self, p: int, g: int):
-        self.p = p
+        self.p, self.g = p, g
         self.q = (p - 1) // 2
-        self.m = m = math.isqrt(self.q - 1) + 1
+        self.m = m = math.isqrt(2 * self.q - 1) + 1
+        self.giants = -(-self.q // m)
         baby: dict[int, int] = {}
         acc = 1
         for j in range(m):
-            baby[acc] = j
+            baby[acc] = j & 0xFF
             acc = acc * g % p
         self.baby = baby
         self.stride = pow(g, -m, p)
+        self.hop = pow(g, 256, p)
 
     def log(self, y: int) -> int:
         """The e in {1, ..., q} with g**e == y mod p (residue 0 comes back as q)."""
-        p, m, baby, stride = self.p, self.m, self.baby, self.stride
+        p, baby, stride = self.p, self.baby, self.stride
         cur = y
-        for i in range(m):
+        for i in range(self.giants):
             if cur in baby:
-                return canonical_exponent(i * m + baby[cur], self.q)
+                # cur = g**j for the one j < m with j & 0xFF == baby[cur].
+                j = baby[cur]
+                x = pow(self.g, j, p)
+                while x != cur:
+                    x = x * self.hop % p
+                    j += 256
+                return canonical_exponent(i * self.m + j, self.q)
             cur = cur * stride % p
         raise ValueError(f"{y} is not a power of the table's base mod {p}")
 

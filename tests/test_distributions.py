@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -171,6 +172,15 @@ class TestExactTable:
         spec = dist.uniform_spec(21)
         with pytest.raises(ValueError):
             dist.exact_table(spec)
+
+    def test_tree_outputs_budget(self):
+        # The check comes before the 2(q + 1)-entry fold rows and 2^n leaves.
+        inst = generate_instance(22, make_rng(22, "tree-budget"))
+        for make in (dist.kgen_spec, dist.gen_spec):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"seed space 2\^22 exceeds the 2\^20 enumeration budget"):
+                make(inst, 1).outputs()
+            assert time.perf_counter() - start < 0.5
 
     def test_exact_beyond_2_16_seeds(self):
         table = dist.exact_table(dist.uniform_spec(17))

@@ -282,6 +282,18 @@ class TestLearnerInferenceReduction:
         assert result.violations == 0  # fallback exams are fresh
         assert abs(result.pass_rate - 0.5) <= result.ci_halfwidth
 
+    def test_no_fresh_exam_left_is_a_violation(self):
+        # 80 samples at n = 3 query all 8 inputs, so no fresh exam exists.
+        def exhaustive_learner(oracle, n, epsilon, delta, rng):
+            for _ in range(80):
+                oracle.sample()
+            return uniform_spec(2 * n)
+
+        reduction = games.learner_to_inference(exhaustive_learner, form="kgen")
+        result = games.run_inference_game(reduction, 3, 2, 1)
+        assert result.violations == 2
+        assert reduction.case_log == []
+
     @staticmethod
     def probe_samples(form: str, n: int = 6, trials: int = 3, seed: int = 26):
         """Run a learner that draws 10 samples per trial and returns uniform

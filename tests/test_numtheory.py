@@ -322,7 +322,7 @@ class TestDlogTable:
         for g in residues[1:]:
             table = nt.DlogTable(p, g)
             m = table.m
-            assert len(table.baby) == m and (m - 1) ** 2 < q <= m * m
+            assert len(table.baby) == m and (m - 1) ** 2 < 2 * q <= m * m
             acc = 1
             for e in range(1, q + 1):
                 acc = acc * g % p
@@ -333,16 +333,34 @@ class TestDlogTable:
             assert table.log(y) == nt.discrete_log(p, residues[1], y, "brute")
 
     def test_last_giant_step_is_reached(self):
-        # Where (q - 1) // m == m - 1, the log q - 1 is found only on giant
-        # step m - 1, the last one ``log`` takes; some primes here have that.
+        # (q - 1) // m == ceil(q / m) - 1: the log q - 1 is found only on
+        # the last giant step ``log`` takes.
         reached = 0
         for p in nt.safe_primes_below(1 << 10):
             q = (p - 1) // 2
             table = nt.DlogTable(p, 4)
-            if (q - 1) // table.m == table.m - 1:
+            if (q - 1) // table.m == -(-q // table.m) - 1:
                 assert table.log(pow(4, q - 1, p)) == q - 1
                 reached += 1
         assert reached
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_index_recovery_and_giant_step_edges(self, n):
+        # e = i*m + j around the low-byte boundaries of j and at the first,
+        # second and last giant step: the table stores only j & 0xFF, so
+        # each j >= 256 is recovered by stepping from g**(j & 0xFF).
+        inst = nt.generate_instance(n, make_rng(n, "dlog-edges"))
+        p, q, g = inst.p, inst.q, inst.g
+        table = nt.DlogTable(p, g)
+        m = table.m
+        assert m > 257
+        exponents = {q - 1, q}
+        for i in (0, 1, -(-q // m) - 1):
+            for j in (0, 1, 255, 256, 257, m - 1):
+                if 1 <= i * m + j <= q:
+                    exponents.add(i * m + j)
+        for e in sorted(exponents):
+            assert table.log(pow(g, e, p)) == e
 
     def test_one_table_answers_many_logs(self):
         inst = nt.generate_instance(20, make_rng(7, "table-reuse"))
