@@ -9,6 +9,10 @@ Subpackages by topic:
 * :mod:`genlearn.games` -- distinguisher and inference game harnesses
 * :mod:`genlearn.boolfn` -- distributions from Boolean functions
 * :mod:`genlearn.cli` -- reproducible command-line front end
+
+The records (``GroupInstance``, ``DistTable``, ``LearnedGenerator`` and
+the rest) are immutable ``NamedTuple`` classes: ``_replace`` copies one
+with fields changed and ``_asdict`` returns its fields as a dict.
 """
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .distributions import DistTable, GeneratorSpec, bin_n, exact_table
 
@@ -36,19 +37,23 @@ __all__ = [
 CLASSIFY_BUDGET = 4096  # largest function family we will enumerate outright
 
 
-@dataclass(frozen=True)
-class BoolFn:
+class BoolFn(namedtuple("BoolFn", "n table")):
     """A Boolean function on n bits, stored as its 2^n-entry truth table.
 
-    ``table[i]`` is the output on the input with big-endian value i.
+    ``table[i]`` is the output on the input with big-endian value i.  The
+    constructor, ``_make`` and ``_replace`` all check the table.
     """
 
-    n: int
-    table: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.table) != 1 << self.n or any(c not in "01" for c in self.table):
-            raise ValueError(f"truth table must be {1 << self.n} bits")
+    def __new__(cls, n: int, table: str):
+        if len(table) != 1 << n or any(c not in "01" for c in table):
+            raise ValueError(f"truth table must be {1 << n} bits")
+        return tuple.__new__(cls, (n, table))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "BoolFn":
+        return cls(*fields)
 
     def __call__(self, bits: str) -> str:
         if len(bits) != self.n:
@@ -110,8 +115,7 @@ def optimal_short_generator(c: BoolFn, m: int) -> GeneratorSpec:
     return GeneratorSpec(seed_bits=m, out_bits=c.n + 1, eval_fn=eval_fn)
 
 
-@dataclass(frozen=True)
-class ExactGeneratorReport:
+class ExactGeneratorReport(NamedTuple):
     """Outcome of enumerating every m-bit-seed generator for a target.
 
     A generator is identified with its output tuple over seeds in value

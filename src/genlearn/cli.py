@@ -87,11 +87,11 @@ def cmd_sample(args) -> int:
         print("error: --count must be >= 1", file=sys.stderr)
         return USAGE_ERROR
     oracle = SampleOracle(gen_spec(inst, args.key), make_rng(args.seed, "sample"))
-    lines = [oracle.sample() for _ in range(args.count)]
+    lines = (oracle.sample() for _ in range(args.count))
     if args.out:
         write_samples(args.out, lines)
     else:
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .numtheory import GroupInstance
 from .prf import KeyedWalker, check_bits, prf_eval
@@ -66,8 +66,7 @@ def bits_to_int(bits: str) -> int:
     return int(bits, 2)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Executable description of a classical generator.
 
     ``eval_fn`` must be total on {0,1}^seed_bits and produce strings of
@@ -191,17 +190,25 @@ class SampleOracle:
         return self.spec.eval(seed)
 
 
-@dataclass(frozen=True, eq=True)
-class DistTable:
+class DistTable(namedtuple("DistTable", "n_bits probs")):
     """A finite probability table over n-bit strings.
 
     Entries absent from ``probs`` have probability zero.  Values are
     either all ``Fraction`` (exact mode, sums checked exactly) or floats
-    (sums checked to 1e-12).
+    (sums checked to 1e-12).  Every way of building one (the constructor,
+    ``_make``, ``_replace``) runs ``__post_init__``'s check.
     """
 
-    n_bits: int
-    probs: dict
+    __slots__ = ()
+
+    def __new__(cls, n_bits: int, probs: dict):
+        self = tuple.__new__(cls, (n_bits, probs))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "DistTable":
+        return cls(*fields)
 
     def __post_init__(self):
         probs, exact = self.probs, self.is_exact()

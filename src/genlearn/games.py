@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .distributions import (
     GeneratorSpec,
@@ -80,7 +80,7 @@ def _random_bits(rng: random.Random, n: int) -> str:
 
 def _record(result) -> dict:
     """A result's fields in declaration order, with ``ci_halfwidth`` keyed "ci"."""
-    return {("ci" if k == "ci_halfwidth" else k): v for k, v in asdict(result).items()}
+    return {("ci" if k == "ci_halfwidth" else k): v for k, v in result._asdict().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +88,7 @@ def _record(result) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(NamedTuple):
     """Acceptance rates of an adversary against the two arms of the game.
 
     ``trials`` is the total count, split evenly; rates are over each arm's
@@ -236,8 +235,7 @@ def coin_flip_adversary(params, oracle, rng: random.Random) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(NamedTuple):
     game: str
     n: int
     trials: int

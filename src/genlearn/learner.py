@@ -17,8 +17,8 @@ all q powers per level and is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .distributions import GeneratorSpec, SampleOracle, bits_to_int, decode_params, gen_spec
 from .numtheory import (
@@ -50,8 +50,7 @@ class InvalidSampleError(ValueError):
     """A sample fails the 5n-bit layout or its suffix is not a valid instance."""
 
 
-@dataclass(frozen=True)
-class LearnedGenerator:
+class LearnedGenerator(NamedTuple):
     """An exactly recovered generator: instance, key, and executable spec."""
 
     inst: GroupInstance
@@ -137,4 +136,4 @@ def pac_generator_learn(
     before = oracle.count
     sample = oracle.sample()
     learned = learn_from_sample(sample)
-    return replace(learned, samples_used=oracle.count - before)
+    return learned._replace(samples_used=oracle.count - before)

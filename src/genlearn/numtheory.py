@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 __all__ = [
     "SearchBudgetError",
@@ -333,8 +333,7 @@ def discrete_log(p: int, base: int, y: int, engine: str = "bsgs") -> int:
     raise ValueError(f"unknown discrete log engine {engine!r}")
 
 
-@dataclass(frozen=True)
-class GroupInstance:
+class GroupInstance(NamedTuple):
     """A QR group instance (p, q, g, g^a); the public parameterization.
 
     ``a_secret`` is retained only when an instance is generated in test
@@ -352,7 +351,7 @@ class GroupInstance:
         """The instance with the secret exponent stripped."""
         if self.a_secret is None:
             return self
-        return replace(self, a_secret=None)
+        return self._replace(a_secret=None)
 
     def to_json_dict(self) -> dict[str, str]:
         """Decimal-string fields in fixed order: n, p, q, g, g_a[, a_secret]."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,24 @@ class TestBoolFn:
             bf.BoolFn(1, "0x")
         with pytest.raises(ValueError):
             bf.BoolFn(2, "0110")("011")
+
+    @pytest.mark.parametrize("fields", [(1, "0"), (2, "011"), (1, "0x"), (0, "01")])
+    def test_make_and_replace_validate_like_the_constructor(self, fields):
+        with pytest.raises(ValueError) as want:
+            bf.BoolFn(*fields)
+        message = "^" + re.escape(str(want.value)) + "$"
+        with pytest.raises(ValueError, match=message):
+            bf.BoolFn._make(fields)
+        with pytest.raises(ValueError, match=message):
+            bf.BoolFn(1, "01")._replace(n=fields[0], table=fields[1])
+        if fields[0] == 1:
+            with pytest.raises(ValueError, match=message):
+                bf.BoolFn(1, "01")._replace(table=fields[1])
+
+    def test_make_and_replace_build_functions(self):
+        c = bf.BoolFn._make((2, "0110"))
+        assert type(c) is bf.BoolFn and c("01") == "1"
+        assert c._replace(table="0001") == bf.BoolFn(2, "0001")
 
 
 class TestFunctionGenerators:

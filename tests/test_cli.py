@@ -2,9 +2,12 @@ import functools
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import genlearn
 from genlearn import games, numtheory
 from genlearn.cli import build_parser, main
 
@@ -82,6 +85,20 @@ class TestSampleCommand:
                          "--count", "8", "--seed", "5", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        # Lines stream to the file; holding all 20,000 first peaks near 2 MB.
+        inst, out = tmp_path / "inst.json", tmp_path / "samples.txt"
+        assert main(["instance", "--n", "8", "--seed", "1", "--out", str(inst)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--instance", str(inst), "--key", "3", "--count", "20000",
+                         "--seed", "2", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert out.read_text(encoding="ascii").count("\n") == 20000
 
     def test_key_out_of_range(self, instance_file, capsys):
         code, _, err = run_cli(
@@ -463,3 +480,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # The records are NamedTuples: `dataclasses` would bring in inspect, ast,
+        # dis and tokenize, about half of a fresh command's start-up time.
+        root = str(Path(genlearn.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import genlearn.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))", root],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

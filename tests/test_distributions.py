@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlearn import boolfn, games, learner
 from genlearn import distributions as dist
 from genlearn import prf
-from genlearn.numtheory import PowTable, generate_instance
+from genlearn.numtheory import GroupInstance, PowTable, generate_instance
 from genlearn.prf import prf_eval
 from genlearn.seeding import make_rng
 
@@ -228,6 +229,30 @@ class TestExactTable:
     ])
     def test_valid_mixed_denominators_and_types(self, probs):
         assert dist.DistTable(2, probs).probs == probs
+
+    @pytest.mark.parametrize("fields", [
+        (1, {"0": -1.0, "1": 2.0}),
+        (1, {"x": 1.0}),
+        (2, {"00": Fraction(1, 2)}),
+        (2, {"0": Fraction(1, 2), "01": Fraction(1, 2)}),
+    ])
+    def test_make_and_replace_validate_like_the_constructor(self, fields):
+        with pytest.raises(ValueError) as want:
+            dist.DistTable(*fields)
+        message = "^" + re.escape(str(want.value)) + "$"
+        valid = dist.DistTable(1, {"0": 0.5, "1": 0.5})
+        with pytest.raises(ValueError, match=message):
+            dist.DistTable._make(fields)
+        with pytest.raises(ValueError, match=message):
+            valid._replace(n_bits=fields[0], probs=fields[1])
+        if fields[0] == 1:
+            with pytest.raises(ValueError, match=message):
+                valid._replace(probs=fields[1])
+
+    def test_make_and_replace_build_tables(self):
+        table = dist.DistTable._make((1, {"0": Fraction(1, 2), "1": Fraction(1, 2)}))
+        assert type(table) is dist.DistTable and table.is_exact()
+        assert table._replace(probs={"1": 1.0}) == dist.DistTable(1, {"1": 1.0})
 
     @staticmethod
     def _per_entry_reference(n_bits, probs):
@@ -495,3 +520,27 @@ class TestFiles:
         assert raw.endswith(b"\n") and raw.count(b"\n") == 10
         assert dist.read_samples(path) == samples
 
+
+def _records():
+    inst = GroupInstance(n=3, p=7, q=3, g=2, g_a=4)
+    spec = dist.uniform_spec(1)
+    return [
+        inst,
+        spec,
+        dist.DistTable(1, {"0": 0.5, "1": 0.5}),
+        boolfn.BoolFn(1, "01"),
+        boolfn.classify_exact_generators(boolfn.BoolFn(1, "01"), 1),
+        learner.LearnedGenerator(inst, 1, spec),
+        games.run_distinguisher_game(games.coin_flip_adversary, "mq", 3, 2, seed=1),
+        games.run_inference_game(games.RandomGuessStrategy(), 3, 2, seed=1),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
