@@ -18,10 +18,12 @@ import itertools
 import math
 import random
 from collections import namedtuple
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .distributions import DistTable, GeneratorSpec, bin_n, exact_table
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BoolFn",
@@ -81,6 +83,7 @@ def function_table(c: BoolFn) -> DistTable:
 
 def disagreement_prob(h: BoolFn, c: BoolFn) -> Fraction:
     """Pr over uniform inputs that h and c differ, as an exact fraction."""
+    from fractions import Fraction
     if h.n != c.n:
         raise ValueError("function arities differ")
     hamming = sum(a != b for a, b in zip(h.table, c.table))

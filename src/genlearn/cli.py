@@ -14,7 +14,6 @@ import functools
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 from . import boolfn as bf
 from . import numtheory as nt
@@ -196,6 +195,7 @@ def _suite_numtheory() -> list[tuple[str, bool]]:
 
 
 def _suite_kgen() -> list[tuple[str, bool]]:
+    from fractions import Fraction
     checks = []
     for n in range(3, 9):
         inst = nt.generate_instance(n, make_rng(20_000 + n, "verify-instance"))
@@ -211,6 +211,7 @@ def _suite_kgen() -> list[tuple[str, bool]]:
 
 
 def _suite_boollemmas() -> list[tuple[str, bool]]:
+    from fractions import Fraction
     checks = []
     # Disagreement identity, all 256 ordered pairs at n = 2.
     fns = [bf.BoolFn(2, format(v, "04b")) for v in range(16)]

@@ -19,7 +19,6 @@ import math
 import operator
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
@@ -211,6 +210,7 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         return cls(*fields)
 
     def __post_init__(self):
+        from fractions import Fraction
         probs, exact = self.probs, self.is_exact()
         values = probs.values()
         if exact:
@@ -244,6 +244,7 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
                 raise ValueError(f"table sums to {total}, outside tolerance")
 
     def is_exact(self) -> bool:
+        from fractions import Fraction
         return all(issubclass(t, Fraction) for t in set(map(type, self.probs.values())))
 
     def prob(self, bits: str):
@@ -265,6 +266,7 @@ def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
     their first occurrence; all entries with the same count share one
     ``Fraction``.  ``exact=False`` returns the same table ``to_float()``.
     """
+    from fractions import Fraction
     counts: dict = {}
     for y in spec.outputs():
         counts[y] = counts.get(y, 0) + 1
@@ -304,6 +306,7 @@ def tv_distance(p: DistTable, q: DistTable):
     if p.n_bits != q.n_bits:
         raise ValueError(f"domain mismatch: {p.n_bits} vs {q.n_bits} bits")
     if p.is_exact() and q.is_exact():
+        from fractions import Fraction
         # Summed in integers over the lcm of every denominator.
         den = math.lcm(*{prob.denominator for t in (p, q) for prob in t.probs.values()})
         a, b = ({x: v.numerator * (den // v.denominator) for x, v in t.probs.items()} for t in (p, q))

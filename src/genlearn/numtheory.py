@@ -19,7 +19,9 @@ Conventions used throughout the package:
 of exponentiating is used is described in :mod:`genlearn.prf`.  The
 safe-prime search keeps its candidate stream and makes each test
 cheap: a sieve lookup below 2**16, gcds with products of the sieved
-primes above (p and q screened together), then Miller-Rabin.
+primes above (p and q screened together), then Miller-Rabin.  The sieve
+is built at import; the block products on the first test of a candidate
+at or above 2**16, once per process.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ __all__ = [
     "validate_instance",
 ]
 
-# Primes below this bound are sieved at import.  They decide n < 2**16 by
-# lookup, and their ~1,024-bit block products screen larger candidates with
-# one gcd per block.
+# Primes below this bound are sieved at import and decide n < 2**16 by
+# lookup.  Their ~1,024-bit block products, which screen larger candidates
+# with one gcd per block, are built on the first such screen.
 _SIEVE_LIMIT = 1 << 16
 _BLOCK_BITS = 1024
 
@@ -61,27 +63,36 @@ _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_ROUNDS = 64
 
 
-def _small_primes() -> tuple[bytearray, tuple[tuple[int, int], ...]]:
-    """Prime flags below the sieve limit, and the primes' block products in
-    ascending order, each paired with the largest prime it holds."""
+def _sieve() -> bytearray:
+    """Prime flags below the sieve limit."""
     flags = bytearray([1]) * _SIEVE_LIMIT
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(_SIEVE_LIMIT - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, _SIEVE_LIMIT, i)))
+    return flags
+
+
+_IS_SMALL_PRIME = _sieve()
+_PRIME_BLOCKS: tuple[tuple[int, int], ...] = ()
+
+
+def _prime_blocks() -> tuple[tuple[int, int], ...]:
+    """The sieved primes' block products in ascending order, each paired with
+    the largest prime it holds.  Kept in ``_PRIME_BLOCKS``, so ``_screen``
+    builds them once per process."""
+    global _PRIME_BLOCKS
     blocks = []
     prod = 1
-    for sp in itertools.compress(range(_SIEVE_LIMIT), flags):
+    for sp in itertools.compress(range(_SIEVE_LIMIT), _IS_SMALL_PRIME):
         prod *= sp
         if prod.bit_length() >= _BLOCK_BITS:
             blocks.append((prod, sp))
             prod = 1
     if prod > 1:
         blocks.append((prod, sp))
-    return flags, tuple(blocks)
-
-
-_IS_SMALL_PRIME, _PRIME_BLOCKS = _small_primes()
+    _PRIME_BLOCKS = tuple(blocks)
+    return _PRIME_BLOCKS
 
 
 def _screen(m: int, top: int) -> bool | None:
@@ -92,7 +103,7 @@ def _screen(m: int, top: int) -> bool | None:
     with no shared factor: every divisor of m in 2..top is then prime.
     None if the blocks run out first.
     """
-    for block, last in _PRIME_BLOCKS:
+    for block, last in _PRIME_BLOCKS or _prime_blocks():
         if math.gcd(m, block) != 1:
             return False
         if last * last >= top:

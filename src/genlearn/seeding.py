@@ -15,14 +15,15 @@ OpenSSL through ``hashlib``; ``hashlib`` is the fallback.
 from __future__ import annotations
 
 import random
+import sys
 
 try:
-    from _sha2 import sha256
-except ImportError:
-    try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
         from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+except ImportError:
+    from hashlib import sha256
 
 __all__ = ["subseed", "make_rng"]
 

@@ -495,3 +495,36 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_fractions_and_prime_blocks_unbuilt(self):
+        # Only exact tables, TV/disagreement values and the verify suites need
+        # Fraction (which loads decimal and numbers), and only candidates at
+        # or above 2**16 need the prime-block products.
+        root = str(Path(genlearn.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import genlearn.cli; "
+             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)), "
+             "sys.modules['genlearn.numtheory']._PRIME_BLOCKS)", root],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] ()"
+
+    def test_games_leave_fractions_unloaded(self):
+        # The benchmarked games build no table: Fraction stays out of them.
+        root = str(Path(genlearn.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); from genlearn.cli import main; "
+             "main(['game', '--game', 'reduction', '--learner', 'exact', '--trials', '4', "
+             "'--seed', '1']); "
+             "main(['game', '--game', 'distinguish', '--adversary', 'keylearner', '--n', '8', "
+             "'--trials', '4', '--seed', '1']); "
+             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))", root],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,8 @@
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +81,48 @@ class TestPrimality:
             # Odd candidates with no factor below 2**16 reach Miller-Rabin.
             m = n | 1
             assert nt.is_prime(m) == sympy.isprime(m), m
+
+    def test_prime_blocks_match_eager_construction(self):
+        # Built on first use, the blocks are the ones an import-time build
+        # made: ~1,024-bit products of consecutive primes below 2**16.
+        sympy = pytest.importorskip("sympy")
+        primes = list(sympy.primerange(1 << 16))
+        eager, prod = [], 1
+        for sp in primes:
+            prod *= sp
+            if prod.bit_length() >= 1024:
+                eager.append((prod, sp))
+                prod = 1
+        if prod > 1:
+            eager.append((prod, primes[-1]))
+        blocks = nt._PRIME_BLOCKS or nt._prime_blocks()
+        assert list(blocks) == eager
+        assert nt._prime_blocks() == blocks
+        lasts = [last for _, last in blocks]
+        assert lasts == sorted(set(lasts)) and lasts[-1] == 65521
+        assert math.prod(block for block, _ in blocks) == math.prod(primes)
+
+    def test_fresh_is_safe_prime_on_64_bit_candidates_matches_sympy(self):
+        # The first primality call of the process builds the blocks inside
+        # is_safe_prime's p * q screen; its answers must not depend on that.
+        sympy = pytest.importorskip("sympy")
+        p = 9_223_372_036_854_778_487  # the smallest safe prime above 2**63
+        candidates = list(range(p - 300, p + 301, 2))
+        root = str(Path(nt.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from genlearn import numtheory as nt; "
+             "print(nt._PRIME_BLOCKS == (), "
+             "[nt.is_safe_prime(int(c)) for c in sys.argv[2:]], len(nt._PRIME_BLOCKS) > 0)",
+             root, *map(str, candidates)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = [sympy.isprime(c) and sympy.isprime((c - 1) // 2) for c in candidates]
+        assert want[150]
+        assert proc.stdout.strip() == f"True {want} True"
 
     def test_is_safe_prime_matches_sympy_below_2_18(self):
         # Covers the switch at q = 2**16 from sieve lookups to the p * q screen.
