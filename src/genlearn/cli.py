@@ -103,11 +103,7 @@ def cmd_learn(args) -> int:
     if not samples:
         print("error: sample file is empty", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        learned = learn_from_sample(samples[0], engine=args.engine)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    learned = learn_from_sample(samples[0])
     record = learned.to_json_dict()
     record["samples_used"] = str(learned.samples_used)
     if args.target_key is not None:
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="recover the generator behind a sample file")
     p.add_argument("--samples", required=True, help="sample file (first line is used)")
-    p.add_argument("--engine", choices=("brute", "bsgs"), default="bsgs")
     p.add_argument("--target-key", type=int, default=None,
                    help="report divergence/match against this sampling key")
     common(p)

@@ -28,7 +28,6 @@ from .prf import KeyedWalker, check_bits, prf_eval
 
 __all__ = [
     "bin_n",
-    "bits_to_int",
     "GeneratorSpec",
     "encode_params",
     "decode_params",
@@ -58,11 +57,6 @@ def bin_n(value: int, width: int) -> str:
     if value >= 1 << width:
         raise ValueError(f"{value} does not fit in {width} bits")
     return format(value, f"0{width}b")
-
-
-def bits_to_int(bits: str) -> int:
-    check_bits(bits)
-    return int(bits, 2)
 
 
 class GeneratorSpec(NamedTuple):
@@ -106,7 +100,7 @@ def decode_params(bits: str) -> tuple[int, int, int]:
     if len(bits) % 3 != 0 or not bits:
         raise ValueError(f"parameter encoding length {len(bits)} is not a multiple of 3")
     n = len(bits) // 3
-    return bits_to_int(bits[:n]), bits_to_int(bits[n : 2 * n]), bits_to_int(bits[2 * n :])
+    return int(bits[:n], 2), int(bits[n : 2 * n], 2), int(bits[2 * n :], 2)
 
 
 def kgen_eval(inst: GroupInstance, key: int, x: str) -> str:

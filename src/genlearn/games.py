@@ -28,7 +28,6 @@ from .distributions import (
     GeneratorSpec,
     SampleOracle,
     bin_n,
-    bits_to_int,
     encode_params,
     uniform_spec,
 )
@@ -395,7 +394,7 @@ class _Reduction:
             # The proof's accuracy targets for the learner: log2(n) and 1/2.
             spec = self.dist_learner(SampleOracle(target, rng), n, math.log2(n), 0.5, rng)
             drawn = spec.eval(_random_bits(rng, spec.seed_bits))
-            self._y = bits_to_int(drawn[n : 2 * n])
+            self._y = int(drawn[n : 2 * n], 2)
         except ValueError:
             drawn = None  # learner failure: uniform-guess fallback
         if drawn is not None and drawn[:n] not in oracle.queried:

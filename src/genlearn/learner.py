@@ -3,32 +3,23 @@
 Given a single record ``x || BIN_n(F(key, x)) || BIN_3n(params)`` the key
 is recovered exactly: walk the tree backwards, at each level unfolding the
 value into the residue group and taking a discrete log in the base the
-input bit selected.  A generic discrete-log engine plays the exact-dlog
-oracle, so exactness holds at bit sizes where sqrt(q) work is feasible;
+input bit selected.  Baby-step giant-step plays the exact-dlog oracle, so
+exactness holds at bit sizes where sqrt(q) work is feasible;
 ``learn_from_sample`` refuses samples with n above ``MAX_DLOG_N`` = 40.
 
-The default engine builds one baby-step giant-step table for base g per
-key (``numtheory.DlogTable``, ceil(sqrt(2q)) entries, dropped when the key
-is found) and answers all n levels from it.  Base-g_a logs come from the
-same table: with a = log_g(g_a), invertible mod the prime q because
-g_a != 1, log_{g_a}(y) = log_g(y) * a^-1 mod q.  ``engine="brute"`` walks
-all q powers per level and is the reference.
+Each key builds one baby-step table for base g (``numtheory.DlogTable``,
+ceil(sqrt(2q)) entries, dropped when the key is found) and answers all n
+levels from it.  Base-g_a logs come from the same table: with
+a = log_g(g_a), invertible mod the prime q because g_a != 1,
+log_{g_a}(y) = log_g(y) * a^-1 mod q.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
-from .distributions import GeneratorSpec, SampleOracle, bits_to_int, decode_params, gen_spec
-from .numtheory import (
-    DlogTable,
-    GroupInstance,
-    canonical_exponent,
-    discrete_log,
-    is_qr,
-    validate_instance,
-)
+from .distributions import GeneratorSpec, SampleOracle, decode_params, gen_spec
+from .numtheory import DlogTable, GroupInstance, canonical_exponent, is_qr, validate_instance
 from .prf import check_bits
 
 __all__ = [
@@ -71,21 +62,20 @@ def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int
     dlog base g (bit 0) or base g_a (bit 1).  Exactly inverts the forward
     walk for genuine outputs; corrupted inputs surface as range errors.
     ``inst`` is trusted to be validated, so g and g_a generate QR_p.
+    ``engine`` names the discrete-log algorithm; "bsgs" is the only one.
     """
+    if engine != "bsgs":
+        raise ValueError(f"unknown discrete log engine {engine!r}")
     check_bits(x, inst.n)
     if not 1 <= fx <= inst.q:
         raise ValueError(f"function value {fx} outside canonical range 1..{inst.q}")
     p, q = inst.p, inst.q
-    if engine == "bsgs":
-        log_g = DlogTable(p, inst.g).log
-        a_inv = pow(log_g(inst.g_a), -1, q)
+    log_g = DlogTable(p, inst.g).log
+    a_inv = pow(log_g(inst.g_a), -1, q)
 
-        def log_g_a(y: int) -> int:
-            return canonical_exponent(log_g(y) * a_inv, q)
+    def log_g_a(y: int) -> int:
+        return canonical_exponent(log_g(y) * a_inv, q)
 
-    else:
-        log_g = partial(discrete_log, p, inst.g, engine=engine)
-        log_g_a = partial(discrete_log, p, inst.g_a, engine=engine)
     b = fx
     for ch in reversed(x):
         # q is odd, so exactly one of b and p - b is a residue.
@@ -94,7 +84,7 @@ def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int
     return b
 
 
-def learn_from_sample(sample: str, engine: str = "bsgs") -> LearnedGenerator:
+def learn_from_sample(sample: str) -> LearnedGenerator:
     """Parse one 5n-bit sample and recover the exact generator behind it."""
     try:
         check_bits(sample)
@@ -114,10 +104,10 @@ def learn_from_sample(sample: str, engine: str = "bsgs") -> LearnedGenerator:
         inst = validate_instance(p, g, g_a, n=n)
     except ValueError as exc:
         raise InvalidSampleError(f"sample suffix is not a valid instance: {exc}") from exc
-    fx = bits_to_int(value_bits)
+    fx = int(value_bits, 2)
     if not 1 <= fx <= inst.q:
         raise InvalidSampleError(f"encoded value {fx} outside canonical range 1..{inst.q}")
-    key = learn_key(inst, x, fx, engine=engine)
+    key = learn_key(inst, x, fx)
     return LearnedGenerator(inst=inst, key=key, spec=gen_spec(inst, key))
 
 

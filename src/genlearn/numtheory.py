@@ -317,31 +317,21 @@ class PowTable:
         return acc
 
 
-def discrete_log(p: int, base: int, y: int, engine: str = "bsgs") -> int:
+def discrete_log(p: int, base: int, y: int) -> int:
     """Solve base**e == y mod p for e in {1, ..., q}, q = (p - 1) / 2.
 
     ``base`` must be a generator of QR_p (any residue != 1) and ``y`` a
     residue; both are checked here.  The mathematical residue 0 is
-    reported as canonical q.  Engines: "brute" walks all q powers, "bsgs"
-    answers from a one-use ``DlogTable`` in O(sqrt(q)) time and memory.
+    reported as canonical q.  Answers from a one-use ``DlogTable`` in
+    O(sqrt(q)) time and memory.
     """
-    q = (p - 1) // 2
     if base == 1:
         raise ValueError("base 1 does not generate the residue group")
     if not is_qr(p, base):
         raise ValueError(f"base {base} is not a quadratic residue mod {p}")
     if not is_qr(p, y):
         raise ValueError(f"target {y} is not a quadratic residue mod {p}")
-    if engine == "brute":
-        acc = 1
-        for e in range(1, q + 1):
-            acc = (acc * base) % p
-            if acc == y:
-                return e
-        raise ValueError(f"no discrete log of {y} base {base} mod {p}")
-    if engine == "bsgs":
-        return DlogTable(p, base).log(y)
-    raise ValueError(f"unknown discrete log engine {engine!r}")
+    return DlogTable(p, base).log(y)
 
 
 class GroupInstance(NamedTuple):
@@ -400,7 +390,7 @@ class GroupInstance(NamedTuple):
 
 
 def validate_instance(
-    p: int, g: int, g_a: int, n: int | None = None, a_secret: int | None = None
+    p: int, g: int, g_a: int, n: int, a_secret: int | None = None
 ) -> GroupInstance:
     """Check the instance invariants and package the fields.
 
@@ -413,9 +403,7 @@ def validate_instance(
     q = (p - 1) // 2
     if q % 2 == 0:
         raise ValueError(f"p = {p} has even q = {q}; the fold map degenerates")
-    if n is None:
-        n = p.bit_length()
-    elif p.bit_length() != n:
+    if p.bit_length() != n:
         raise ValueError(f"p = {p} is not an {n}-bit prime")
     for name, el in (("g", g), ("g_a", g_a)):
         if not 1 <= el <= p - 1:

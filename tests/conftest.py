@@ -13,6 +13,17 @@ def inst7() -> GroupInstance:
     return GroupInstance(n=3, p=7, q=3, g=2, g_a=4, a_secret=2)
 
 
+def brute_log(p: int, g: int, y: int) -> int:
+    """Reference discrete log: walk g, g**2, ..., g**q mod p, q = (p - 1) / 2,
+    to the first power equal to y; residue 0 comes back as canonical q."""
+    acc = 1
+    for e in range(1, (p - 1) // 2 + 1):
+        acc = acc * g % p
+        if acc == y:
+            return e
+    raise ValueError(f"no discrete log of {y} base {g} mod {p}")
+
+
 @pytest.fixture(scope="session")
 def cli_env() -> dict[str, str]:
     # Environment for `python -m genlearn` subprocesses: PYTHONPATH starts with

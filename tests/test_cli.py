@@ -170,14 +170,12 @@ class TestLearnCommand:
         code, _, err = run_cli(capsys, "learn", "--samples", str(bad))
         assert code == 2 and "instance" in err
 
-    def test_brute_engine(self, instance_file, tmp_path, capsys):
-        samples = tmp_path / "samples.txt"
-        assert main(["sample", "--instance", str(instance_file), "--key", "4",
-                     "--count", "1", "--seed", "6", "--out", str(samples)]) == 0
-        capsys.readouterr()
-        code, out, _ = run_cli(capsys, "learn", "--samples", str(samples),
-                               "--engine", "brute")
-        assert code == 0 and json.loads(out)["key"] == "4"
+    def test_engine_option_is_gone(self, capsys):
+        # Keys are recovered with the baby-step table only; there is no engine to pick.
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--samples", "samples.txt", "--engine", "brute"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestGameCommand:
@@ -223,8 +221,8 @@ class TestGameCommand:
         assert exc.value.code == 2
 
     def test_engine_option_is_gone(self, capsys):
-        # Games always recover keys with the default engine; only `learn`
-        # keeps --engine for the brute-force reference.
+        # Games recover keys with the baby-step table, the only engine;
+        # no command takes --engine.
         with pytest.raises(SystemExit) as exc:
             main(["game", "--game", "distinguish", "--engine", "brute"])
         assert exc.value.code == 2
@@ -420,9 +418,9 @@ class TestGoldenOutput:
         )
 
     @pytest.mark.parametrize("argv, tail", [
-        (["--engine", "brute"], ""),
+        ([], ""),
         (["--target-key", "4"], ',\n  "kl_to_target": "inf",\n  "target_key_matched": "false"'),
-    ], ids=["brute", "wrong-target-key"])
+    ], ids=["no-target-key", "wrong-target-key"])
     def test_learn_variants_on_n12_sample(self, argv, tail, n12_files, capsys):
         code, out, _ = run_cli(capsys, "learn", "--samples", str(n12_files[1]), *argv)
         assert code == 0

@@ -1,8 +1,10 @@
 import random
 import weakref
+from functools import partial
 
 import pytest
 
+from conftest import brute_log
 from genlearn import distributions as dist
 from genlearn import learner
 from genlearn.learner import (
@@ -11,9 +13,19 @@ from genlearn.learner import (
     learn_key,
     pac_generator_learn,
 )
-from genlearn.numtheory import DlogTable, generate_instance
-from genlearn.prf import prf_eval
+from genlearn.numtheory import DlogTable, generate_instance, is_qr
+from genlearn.prf import check_bits, prf_eval
 from genlearn.seeding import make_rng
+
+
+def brute_learn_key(inst, x: str, fx: int) -> int:
+    """Reference key recovery: ``learn_key``'s reversal with every level's
+    log taken by ``brute_log`` in the base the input bit selects."""
+    b = fx
+    for ch in reversed(x):
+        y = b if is_qr(inst.p, b) else inst.p - b
+        b = brute_log(inst.p, inst.g if ch == "0" else inst.g_a, y)
+    return b
 
 
 class TestLearnKey:
@@ -31,6 +43,12 @@ class TestLearnKey:
     @pytest.mark.parametrize("engine", ["brute", "bsgs"])
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_exact_on_random_instances(self, n, engine):
+        # "brute" is the reference reversal above, checked against the known
+        # keys before other tests trust it; "bsgs" is ``learn_key``'s one engine.
+        if engine == "brute":
+            recover = brute_learn_key
+        else:
+            recover = partial(learn_key, engine=engine)
         for seed in range(5):
             inst = generate_instance(n, make_rng(seed, f"lk{n}"))
             rng = random.Random(seed)
@@ -38,7 +56,7 @@ class TestLearnKey:
                 key = rng.randint(1, inst.q)
                 x = format(rng.getrandbits(n), f"0{n}b")
                 fx = prf_eval(inst, key, x)
-                assert learn_key(inst, x, fx, engine=engine) == key
+                assert recover(inst, x, fx) == key
 
     def test_path_independence(self):
         # Samples at different inputs recover the same key.
@@ -51,7 +69,7 @@ class TestLearnKey:
         assert keys == {key}
 
     def test_one_table_per_key(self, monkeypatch):
-        # The bsgs engine builds exactly one table per call and none outlives it.
+        # Each call builds exactly one table and none outlives it.
         built = []
 
         class CountingTable(DlogTable):
@@ -69,8 +87,6 @@ class TestLearnKey:
             assert learn_key(inst, x, fx) == key
             assert len(built) == before + 1
             assert all(ref() is None for ref in built)
-            assert learn_key(inst, x, fx, engine="brute") == key
-            assert len(built) == before + 1
 
     def test_keys_match_brute_on_acceptance_instances(self):
         # The instance and triple streams of acceptance criterion 1 (first
@@ -84,15 +100,16 @@ class TestLearnKey:
                     x = format(rng.getrandbits(n), f"0{n}b")
                     fx = prf_eval(inst, key, x)
                     assert learn_key(inst, x, fx) == key
-                    assert learn_key(inst, x, fx, engine="brute") == key
+                    assert brute_learn_key(inst, x, fx) == key
         sizes = [3, 4, 5, 6, 7, 8, 9, 10]
         for i in range(100):
             inst = generate_instance(sizes[i % 8], make_rng(2000, "inst", i))
             key = make_rng(2000, "key", i).randint(1, inst.q)
             oracle = dist.SampleOracle(dist.gen_spec(inst, key), make_rng(2000, "draw", i))
             sample = oracle.sample()
+            n = inst.n
             assert learn_from_sample(sample).key == key
-            assert learn_from_sample(sample, engine="brute").key == key
+            assert brute_learn_key(inst, sample[:n], int(sample[n : 2 * n], 2)) == key
 
     def test_unknown_engine(self, inst7):
         with pytest.raises(ValueError, match="engine"):
@@ -138,6 +155,21 @@ class TestLearnFromSample:
             learn_from_sample("000" + "100" + suffix)  # 4 > q = 3
         with pytest.raises(InvalidSampleError, match="range"):
             learn_from_sample("000" + "000" + suffix)  # 0 is not canonical
+
+    def test_each_field_checked_once(self, monkeypatch):
+        # The whole sample, the parameter suffix at ``decode_params``'s entry
+        # and the input x in ``learn_key``: the slices that ``int(bits, 2)``
+        # converts come from strings already checked.
+        checked = []
+
+        def counting(bits, length=None):
+            checked.append(bits)
+            check_bits(bits, length)
+
+        for module in (dist, learner):
+            monkeypatch.setattr(module, "check_bits", counting)
+        assert learn_from_sample("111011111010100").key == 1
+        assert checked == ["111011111010100", "111010100", "111"]
 
     def test_non_bit_characters(self):
         with pytest.raises(InvalidSampleError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_log
 from genlearn import numtheory as nt
 from genlearn.seeding import make_rng
 
@@ -215,19 +216,19 @@ class TestInstanceGeneration:
 
     def test_validate_instance_errors(self):
         with pytest.raises(ValueError):
-            nt.validate_instance(9, 4, 4)  # 9 not prime
+            nt.validate_instance(9, 4, 4, n=4)  # 9 not prime
         with pytest.raises(ValueError):
-            nt.validate_instance(7, 1, 4)  # identity generator
+            nt.validate_instance(7, 1, 4, n=3)  # identity generator
         with pytest.raises(ValueError):
-            nt.validate_instance(7, 3, 4)  # 3 is a non-residue mod 7
+            nt.validate_instance(7, 3, 4, n=3)  # 3 is a non-residue mod 7
         with pytest.raises(ValueError):
-            nt.validate_instance(7, 2, 1)  # g_a = 1 means a = 0, rejected
+            nt.validate_instance(7, 2, 1, n=3)  # g_a = 1 means a = 0, rejected
         with pytest.raises(ValueError):
             nt.validate_instance(7, 2, 4, n=4)  # 7 is not a 4-bit prime
         with pytest.raises(ValueError):
-            nt.validate_instance(7, 2, 4, a_secret=1)  # g^1 != 4
+            nt.validate_instance(7, 2, 4, n=3, a_secret=1)  # g^1 != 4
         with pytest.raises(ValueError):
-            nt.validate_instance(5, 4, 4)  # degenerate q = 2
+            nt.validate_instance(5, 4, 4, n=3)  # degenerate q = 2
 
 
 class TestResidues:
@@ -287,18 +288,17 @@ class TestFoldMap:
 
 class TestDiscreteLog:
     def test_examples_both_engines(self):
-        for engine in ("brute", "bsgs"):
-            assert nt.discrete_log(7, 2, 4, engine) == 2
-            assert nt.discrete_log(7, 2, 1, engine) == 3  # exponent 0 -> canonical q
-            assert nt.discrete_log(7, 4, 2, engine) == 2
+        # The table-backed log and the reference walk.
+        for log in (nt.discrete_log, brute_log):
+            assert log(7, 2, 4) == 2
+            assert log(7, 2, 1) == 3  # exponent 0 -> canonical q
+            assert log(7, 4, 2) == 2
 
     def test_errors(self):
         with pytest.raises(ValueError):
             nt.discrete_log(7, 1, 2)
         with pytest.raises(ValueError):
             nt.discrete_log(7, 2, 3)  # non-residue target
-        with pytest.raises(ValueError):
-            nt.discrete_log(7, 2, 4, engine="magic")
 
     @pytest.mark.parametrize("p", [7, 11, 23, 59])
     def test_roundtrip_exhaustive_small(self, p):
@@ -306,8 +306,8 @@ class TestDiscreteLog:
         for g in sorted(nt.qr_set(p) - {1}):
             for e in range(1, q + 1):
                 y = pow(g, e, p)
-                assert nt.discrete_log(p, g, y, "brute") == e
-                assert nt.discrete_log(p, g, y, "bsgs") == e
+                assert brute_log(p, g, y) == e
+                assert nt.discrete_log(p, g, y) == e
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_roundtrip_random_instances(self, n):
@@ -317,9 +317,9 @@ class TestDiscreteLog:
             exponents = [1, inst.q] + [rng.randint(2, inst.q - 1) for _ in range(10)]
             for e in exponents:
                 y = pow(inst.g, e, inst.p)
-                assert nt.discrete_log(inst.p, inst.g, y, "bsgs") == e
+                assert nt.discrete_log(inst.p, inst.g, y) == e
                 if n <= 16:
-                    assert nt.discrete_log(inst.p, inst.g, y, "brute") == e
+                    assert brute_log(inst.p, inst.g, y) == e
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -330,7 +330,7 @@ class TestDiscreteLog:
         residues = sorted(nt.qr_set(p))
         g = data.draw(st.sampled_from([x for x in residues if x != 1]))
         y = data.draw(st.sampled_from(residues))
-        assert nt.discrete_log(p, g, y, "brute") == nt.discrete_log(p, g, y, "bsgs")
+        assert brute_log(p, g, y) == nt.discrete_log(p, g, y)
 
     @pytest.mark.parametrize("n", [8, 16, 24, 32])
     def test_matches_sympy(self, n):
@@ -361,8 +361,8 @@ class TestDlogTable:
     @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
     def test_matches_brute_walk(self, p):
         # Every generator of QR_p and every residue.  The reference is the
-        # brute engine's walk g, g**2, ..., g**q, run once per generator:
-        # calling the brute engine per residue would cost q**3 / 2 steps.
+        # walk g, g**2, ..., g**q, run once per generator: calling
+        # ``brute_log`` per residue would cost q**3 / 2 steps.
         q = (p - 1) // 2
         residues = sorted(nt.qr_set(p))
         for g in residues[1:]:
@@ -376,7 +376,7 @@ class TestDlogTable:
             assert acc == 1
         table = nt.DlogTable(p, residues[1])
         for y in residues:
-            assert table.log(y) == nt.discrete_log(p, residues[1], y, "brute")
+            assert table.log(y) == brute_log(p, residues[1], y)
 
     def test_last_giant_step_is_reached(self):
         # (q - 1) // m == ceil(q / m) - 1: the log q - 1 is found only on
