@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import getitem
 from typing import NamedTuple
 
 __all__ = [
@@ -277,7 +278,8 @@ class DlogTable:
 
 
 # Exponent bits per PowTable row: a power costs one multiplication per
-# window, a table 2**_POW_WINDOW entries per row.
+# window, a table 2**_POW_WINDOW entries per row.  It must stay 8: the
+# power indexes row k by byte k of the exponent.
 _POW_WINDOW = 8
 
 
@@ -286,10 +288,10 @@ class PowTable:
 
     Row k holds base**(j * 2**(W*k)) for j < 2**W, W = ``_POW_WINDOW``
     (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), so a power is
-    one multiplication per W exponent bits instead of builtin ``pow``'s
-    square-and-multiply.  Building costs 2**W multiplications per row; it
-    pays back only when many powers share the base, so callers that
-    exponentiate once use ``pow``.
+    the product of one entry per exponent byte, reduced once, instead of
+    builtin ``pow``'s square-and-multiply.  Building costs 2**W
+    multiplications per row; it pays back only when many powers share the
+    base, so callers that exponentiate once use ``pow``.
     """
 
     def __init__(self, p: int, base: int, e_bits: int):
@@ -307,14 +309,9 @@ class PowTable:
         self.rows = rows
 
     def pow(self, e: int) -> int:
-        """base**e mod p, for 0 <= e < 2**e_bits."""
-        p = self.p
-        mask = (1 << _POW_WINDOW) - 1
-        acc = 1
-        for row in self.rows:
-            acc = acc * row[e & mask] % p
-            e >>= _POW_WINDOW
-        return acc
+        """base**e mod p for 0 <= e < 2**(8 * len(rows)); ``OverflowError`` outside."""
+        rows = self.rows
+        return math.prod(map(getitem, rows, e.to_bytes(len(rows), "little"))) % self.p
 
 
 def discrete_log(p: int, base: int, y: int) -> int:

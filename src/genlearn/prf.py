@@ -7,24 +7,27 @@ canonical set {1, ..., q}; the fold map ``f_p`` carries group elements
 back into that set so the generator can be iterated.
 
 Inputs are checked once, where they enter: ``ggm_walk`` checks its bits
-and key, the oracles their query points.  Inside the walk every power of
-g or g_a is a residue (instances are built only by ``generate_instance``
-or ``validate_instance``), so each level folds with ``min(y, p - y)``
+and key, ``KeyedWalker`` each input and its key once, the oracles their
+query points.  Inside the walk every power of g or g_a is a residue
+(instances are built only by ``generate_instance`` or
+``validate_instance``), so each level folds with ``min(y, p - y)``
 instead of the Euler-checked ``f_p``.
 
 Each level of a walk costs one modular power.  The package takes group
 powers one of three ways, by how often a base recurs:
 
 * builtin ``pow`` (square-and-multiply) in ``ggm_walk``, for every single
-  walk: ``prf_eval``, the oracles, and any function evaluated once, such
-  as the spec the games' reduction learner returns; also for one-off
-  powers such as instance checks.  Building tables there would cost more
-  than the walk saves.
+  walk: ``prf_eval``, the oracles, and any function evaluated once below
+  n = 64, such as the spec the games' reduction learner returns; also for
+  one-off powers such as instance checks.  Building tables there would
+  cost more than the walk saves.
 * ``numtheory.PowTable`` in ``KeyedWalker``, for one (instance, key)
   walked many times at random inputs, as ``kgen_spec`` and ``gen_spec``
-  are by ``sample``.  Its first walk is ``prf_eval``; its second builds a
-  table for g and one for g_a, and every later level is a table power (at
-  n = 64, about 3.4 us against 22 us for ``pow``).
+  are by ``sample``.  It builds a table for g and one for g_a on its second
+  walk below n = 64, where its first walk is ``prf_eval``, and on its first
+  walk from n = 64 on, where the builds cost about one ``pow`` walk.  A
+  table power is the product of one row entry per exponent byte, reduced
+  once mod p: at n = 64, about 1.7-2.1 us against 17-19 us for ``pow``.
 * fold rows in ``distributions``, for exact tables, which walk no seed:
   one row per base holds the folded powers of every seed b in 1..q, one
   multiplication each, and the tree is expanded level by level by lookups
@@ -37,6 +40,8 @@ owner; everything else here is pure.
 from __future__ import annotations
 
 import random
+from math import prod
+from operator import getitem
 from typing import Callable
 
 from .numtheory import GroupInstance, PowTable
@@ -89,13 +94,19 @@ def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     return ggm_walk(inst, key, x)
 
 
+# From this n on a KeyedWalker builds its tables on its first walk.  One pow
+# walk against two builds plus one table walk (3.11.7): 4 vs 30 us at n = 8,
+# 0.7 vs 0.63 ms at n = 56, 1.0 vs 0.97 ms at n = 64.  Specs walked once (the
+# games at n = 8, key recovery up to n = 40) keep builtin pow.
+_TABLES_FIRST_N = 64
+
+
 class KeyedWalker:
     """F(key, x) for one (instance, key), for callers that walk it many times.
 
-    The first walk is ``prf_eval``, with builtin ``pow`` and nothing built,
-    so a function evaluated once costs no more than a single walk.  The
-    second builds one ``PowTable`` for g and one for g_a, and it and every
-    later walk take each level's power from them.
+    Table walks take each level's power from one ``PowTable`` for g and one
+    for g_a.  They are built by the first walk from n = ``_TABLES_FIRST_N``
+    on; below it the first walk is ``prf_eval`` and the second builds them.
     """
 
     def __init__(self, inst: GroupInstance, key: int):
@@ -106,22 +117,28 @@ class KeyedWalker:
 
     def __call__(self, x: str) -> int:
         inst = self.inst
-        if self.walks == 0:
+        if self.walks == 0 and inst.n < _TABLES_FIRST_N:
             value = prf_eval(inst, self.key, x)
             self.walks = 1
             return value
-        # The first walk checked the key; each input is still checked.
         check_bits(x, inst.n)
         if self.tables is None:
+            if not 1 <= self.key <= inst.q:
+                raise ValueError(f"seed/key {self.key} outside canonical range 1..{inst.q}")
             e_bits = inst.q.bit_length()
             self.tables = (PowTable(inst.p, inst.g, e_bits), PowTable(inst.p, inst.g_a, e_bits))
         self.walks += 1
-        p = inst.p
-        pow_g, pow_g_a = self.tables[0].pow, self.tables[1].pow
+        p, q = inst.p, inst.q
+        rows_g, rows_g_a = self.tables[0].rows, self.tables[1].rows
+        width = len(rows_g)
         b = self.key
+        # PowTable.pow inlined, and y <= q folds as min(y, p - y) without the
+        # call: 50 walks at n = 64 cost 0.78 of the per-row kernel's time
+        # through .pow, 0.65 as here.
         for ch in x:
-            y = pow_g(b) if ch == "0" else pow_g_a(b)
-            b = min(y, p - y)
+            rows = rows_g if ch == "0" else rows_g_a
+            y = prod(map(getitem, rows, b.to_bytes(width, "little"))) % p
+            b = y if y <= q else p - y
         return b
 
 

@@ -417,6 +417,27 @@ class TestGoldenOutput:
             "000100010010001001001111101000010011011100011001100010101011\n"
         )
 
+    def test_sample_at_n64_to_stdout(self, tmp_path, capsys):
+        # n = 64 walks every line, the first included, through the tables.
+        inst = tmp_path / "inst.json"
+        assert main(["instance", "--n", "64", "--seed", "1", "--out", str(inst)]) == 0
+        code, out, _ = run_cli(capsys, "sample", "--instance", str(inst),
+                               "--key", "123456789", "--count", "3", "--seed", "1")
+        assert code == 0
+        suffix = (
+            "101011000010001001111100100110011010100000001010001001100001011110011011110101101001"
+            "101110101111000010100010111111101010100110110110001000100000010110101110111000001110"
+            "001101001101100100111100\n"
+        )
+        assert out == (
+            "1100110111011000001001100100011010001100001101110100111100101100"
+            "0011000000110101100000111111001011001001000011001000001111110011" + suffix
+            + "0000111010110111011111101010111000110001100111011010100100111011"
+            "0001000111001110010001100011011000010010011110101011000001011101" + suffix
+            + "0110110101011000101110000101111000100101100111100000110011011010"
+            "0011100110001101101000110111110011010001000111101000101101001100" + suffix
+        )
+
     @pytest.mark.parametrize("argv, tail", [
         ([], ""),
         (["--target-key", "4"], ',\n  "kl_to_target": "inf",\n  "target_key_matched": "false"'),

@@ -93,9 +93,10 @@ class TestSpecWalks:
                     assert out == reference(inst, key, x), (reference.__name__, i)
 
     def test_one_table_pair_per_repeated_spec(self, monkeypatch):
-        # Tables are built on a spec's second walk, one for g and one for
-        # g_a, and shared by every later walk; a spec walked once builds none,
-        # and an exact table, which expands the tree, walks no seed.
+        # Below n = 64 tables are built on a spec's second walk, one for g
+        # and one for g_a, and shared by every later walk; a spec walked once
+        # builds none, and an exact table, which expands the tree, walks no
+        # seed.  From n = 64 on the first walk builds the one pair.
         built = []
 
         class CountingTable(PowTable):
@@ -120,6 +121,12 @@ class TestSpecWalks:
         for _ in range(50):
             oracle.sample()
         assert sorted(built) == sorted([inst.g, inst.g_a])
+        built.clear()
+        inst = generate_instance(64, make_rng(3, "table-count"))
+        for make in (dist.kgen_spec, dist.gen_spec):
+            make(inst, 5).eval("0" * 64)
+            assert sorted(built) == sorted([inst.g, inst.g_a])
+            built.clear()
 
 
 class TestSampleOracle:

@@ -440,3 +440,18 @@ class TestPowTable:
             for e in exponents:
                 assert table.pow(e) == pow(base, e, inst.p), e
         assert nt.PowTable(inst.p, inst.g, e_bits).pow(inst.q) == 1
+
+    @pytest.mark.parametrize("e_bits", [5, 8, 12, 63])
+    def test_exponent_range_is_whole_rows(self, e_bits):
+        # The power reads one row per exponent byte: every exponent the rows
+        # hold is answered, and one past either end raises instead of
+        # dropping bits.
+        inst = nt.generate_instance(64, make_rng(1, "pow-range"))
+        table = nt.PowTable(inst.p, inst.g, e_bits)
+        top = 1 << (8 * len(table.rows))
+        assert len(table.rows) == -(-e_bits // nt._POW_WINDOW)
+        for e in (0, top - 1):
+            assert table.pow(e) == pow(inst.g, e, inst.p)
+        for e in (-1, top):
+            with pytest.raises(OverflowError):
+                table.pow(e)

@@ -109,9 +109,10 @@ class TestKeyedFunction:
 
 
 class TestKeyedWalker:
-    @pytest.mark.parametrize("n", [3, 6, 16, 32, 64])
+    @pytest.mark.parametrize("n", [3, 6, 16, 32, 63, 64, 65, 128])
     def test_every_walk_matches_prf_eval(self, n):
-        # Walk 1 is prf_eval itself; walks 2 and on use the tables.
+        # Below n = 64 walk 1 is prf_eval itself and walk 2 builds the
+        # tables; from n = 64 on walk 1 builds them.  Every later walk uses them.
         for seed in range(3):
             inst = generate_instance(n, make_rng(seed, "keyed-walker"))
             rng = random.Random(seed)
@@ -120,6 +121,8 @@ class TestKeyedWalker:
                 for i in range(50):
                     x = format(rng.getrandbits(n), f"0{n}b")
                     assert walk(x) == prf.prf_eval(inst, key, x), (key, x, i)
+                    if i == 0:
+                        assert (walk.tables is not None) == (n >= 64)
                 assert walk.walks == 50 and walk.tables is not None
 
     def test_inputs_checked_on_every_walk(self, inst7):
@@ -141,6 +144,20 @@ class TestKeyedWalker:
             for _ in range(2):
                 with pytest.raises(ValueError):
                     walk("101")
+            assert walk.walks == 0 and walk.tables is None
+
+    def test_first_table_walk_checks_key_and_input(self):
+        # At n = 64 the first walk builds tables instead of calling
+        # prf_eval; it refuses what prf_eval refuses and builds nothing then.
+        inst = generate_instance(64, make_rng(64, "first-walk"))
+        good = "01" * 32
+        for key, x in ((0, good), (inst.q + 1, good), (5, "01x" + good[3:]), (5, good[1:])):
+            walk = prf.KeyedWalker(inst, key)
+            with pytest.raises(ValueError):
+                prf.prf_eval(inst, key, x)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    walk(x)
             assert walk.walks == 0 and walk.tables is None
 
 
