@@ -20,7 +20,7 @@ import operator
 import random
 from collections import namedtuple
 from functools import partial, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .numtheory import GroupInstance
@@ -117,17 +117,20 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     """Every x || BIN_n(F(key, x)) || suffix, x ascending, one tree level at a time.
 
     Each node b in 1..q has children fold(g^b) and fold(g_a^b) (residues, so
-    ``min(y, p - y)`` folds them), looked up in two rows of one multiplication
-    per entry.  Level j lists the j-bit prefixes in order, 0-child first.
+    ``y if y <= q else p - y`` folds them), looked up in two rows of one
+    multiplication per entry.  Level j lists the j-bit prefixes in order,
+    0-child first.  Each output is ``bin(1 << 2n | x << n | F(x))[3:] +
+    suffix``, made by C-level ``map``s as the caller draws it: no Python
+    step per leaf, and no list of all 2^n outputs.
     """
     if not 1 <= key <= inst.q:
         raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
-    n, p = inst.n, inst.p
+    n, p, q = inst.n, inst.p, inst.q
     rows = [], []
     for row, base in zip(rows, (inst.g, inst.g_a)):
         y = 1
-        for _ in range(inst.q + 1):
-            row.append(min(y, p - y))
+        for _ in range(q + 1):
+            row.append(y if y <= q else p - y)
             y = y * base % p
     level = [key]
     for _ in range(n):
@@ -136,8 +139,9 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
         level[1::2] = map(rows[1].__getitem__, parents)
     # One character per leaf (q < 0x110000 in budget): the rows go before the outputs stream.
     leaves = "".join(map(chr, level))
-    fmt = f"0{2 * n}b"
-    return (format(x << n | ord(y), fmt) + suffix for x, y in enumerate(leaves))
+    top = 1 << 2 * n
+    heads = map(bin, map(operator.add, range(top, 2 * top, 1 << n), map(ord, leaves)))
+    return map(operator.add, map(operator.getitem, heads, repeat(slice(3, None))), repeat(suffix))
 
 
 def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
@@ -183,13 +187,27 @@ class SampleOracle:
         return self.spec.eval(seed)
 
 
+def _only_bits(keys) -> bool:
+    """Whether all ``keys`` (each a ``str``) hold only '0' and '1'.
+
+    Chunks bound the transient to one joined chunk, never the whole table;
+    a non-ASCII character encodes as '?' and fails.
+    """
+    it = iter(keys)
+    for _ in range(0, len(keys), 256):
+        if "".join(islice(it, 256)).encode("ascii", "replace").translate(None, b"01"):
+            return False
+    return True
+
+
 class DistTable(namedtuple("DistTable", "n_bits probs")):
     """A finite probability table over n-bit strings.
 
     Entries absent from ``probs`` have probability zero.  Values are
     either all ``Fraction`` (exact mode, sums checked exactly) or floats
     (sums checked to 1e-12).  Every way of building one (the constructor,
-    ``_make``, ``_replace``) runs ``__post_init__``'s check.
+    ``_make``, ``_replace``) runs ``__post_init__``'s check, which reads
+    the keys' characters 256 joined keys at a time (``_only_bits``).
     """
 
     __slots__ = ()
@@ -218,7 +236,7 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         if not (
             set(map(type, probs)) <= {str}
             and set(map(len, probs)) <= {self.n_bits}
-            and not any(map(str.translate, probs, repeat(str.maketrans("", "", "01"))))
+            and _only_bits(probs)
             and set(map(type, values)) <= {Fraction, float, int}
             and all(map(operator.le, repeat(0), values))
         ):
@@ -276,20 +294,34 @@ def kl_divergence(p: DistTable, q: DistTable) -> float:
 
     Terms with P(x) = 0 contribute nothing; any x with P(x) > 0 but
     Q(x) = 0 makes the divergence +inf (returned as a sentinel, not
-    raised).  Tiny negative float round-off is clamped to 0.
+    raised).  Tiny negative float round-off is clamped to 0.  Each term
+    is computed once per pair of value objects (an exact table shares one
+    per count) and added in entry order, so the float sum does not depend
+    on the sharing.
     """
     if p.n_bits != q.n_bits:
         raise ValueError(f"domain mismatch: {p.n_bits} vs {q.n_bits} bits")
+    # Keyed by object identity: both tables hold every value for the whole loop.
+    # A zero term is added too; the sum is never -0.0, so that keeps its bits.
+    terms: dict = {}
     total = 0.0
+    q_get = q.probs.get
     for bits, prob in p.probs.items():
-        a, b = prob.as_integer_ratio()
-        if a == 0:
-            continue
-        c, d = q.probs.get(bits, 0).as_integer_ratio()
-        if c == 0:
-            return math.inf
-        # Int true division rounds correctly: float(Fraction(prob) / Fraction(q_prob)).
-        total += a / b * math.log2(a * d / (b * c))
+        q_prob = q_get(bits, 0)
+        pair = id(prob), id(q_prob)
+        term = terms.get(pair)
+        if term is None:
+            a, b = prob.as_integer_ratio()
+            if a == 0:
+                term = 0.0
+            else:
+                c, d = q_prob.as_integer_ratio()
+                if c == 0:
+                    return math.inf
+                # Int true division rounds correctly: float(Fraction(prob) / Fraction(q_prob)).
+                term = a / b * math.log2(a * d / (b * c))
+            terms[pair] = term
+        total += term
     if -1e-9 < total < 0.0:
         return 0.0
     return total

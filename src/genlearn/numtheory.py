@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from operator import getitem
 from typing import NamedTuple
 
 __all__ = [
@@ -278,8 +277,8 @@ class DlogTable:
 
 
 # Exponent bits per PowTable row: a power costs one multiplication per
-# window, a table 2**_POW_WINDOW entries per row.  It must stay 8: the
-# power indexes row k by byte k of the exponent.
+# window, a table 2**_POW_WINDOW entries per row.  It must stay 8: a power
+# indexes row k by byte k of the exponent.
 _POW_WINDOW = 8
 
 
@@ -288,14 +287,14 @@ class PowTable:
 
     Row k holds base**(j * 2**(W*k)) for j < 2**W, W = ``_POW_WINDOW``
     (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), so a power is
-    the product of one entry per exponent byte, reduced once, instead of
-    builtin ``pow``'s square-and-multiply.  Building costs 2**W
-    multiplications per row; it pays back only when many powers share the
-    base, so callers that exponentiate once use ``pow``.
+    the product of ``rows[k][byte k of e]``, reduced once, instead of
+    builtin ``pow``'s square-and-multiply; ``prf.KeyedWalker`` applies that
+    to ``rows`` inline.  Building costs 2**W multiplications per row; it
+    pays back only when many powers share the base, so callers that
+    exponentiate once use ``pow``.
     """
 
     def __init__(self, p: int, base: int, e_bits: int):
-        self.p = p
         rows = []
         step = base
         for _ in range(-(-e_bits // _POW_WINDOW)):
@@ -307,11 +306,6 @@ class PowTable:
             rows.append(row)
             step = acc * step % p
         self.rows = rows
-
-    def pow(self, e: int) -> int:
-        """base**e mod p for 0 <= e < 2**(8 * len(rows)); ``OverflowError`` outside."""
-        rows = self.rows
-        return math.prod(map(getitem, rows, e.to_bytes(len(rows), "little"))) % self.p
 
 
 def discrete_log(p: int, base: int, y: int) -> int:

@@ -132,9 +132,9 @@ class KeyedWalker:
         rows_g, rows_g_a = self.tables[0].rows, self.tables[1].rows
         width = len(rows_g)
         b = self.key
-        # PowTable.pow inlined, and y <= q folds as min(y, p - y) without the
-        # call: 50 walks at n = 64 cost 0.78 of the per-row kernel's time
-        # through .pow, 0.65 as here.
+        # The table power is written out here, and y <= q folds as
+        # min(y, p - y) without the call: 50 walks at n = 64 cost 0.78 of the
+        # per-row kernel's time through a power method, 0.65 as here.
         for ch in x:
             rows = rows_g if ch == "0" else rows_g_a
             y = prod(map(getitem, rows, b.to_bytes(width, "little"))) % p

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -323,15 +324,57 @@ class TestExactTable:
             probs[key] = -probs[key] if bad == "negative" else math.nan
         self._check_against_reference(probs)
 
-    def _check_against_reference(self, probs):
+    def _check_against_reference(self, probs, n_bits=3):
         def outcome(build):
             try:
-                build(3, probs)
+                build(n_bits, probs)
             except (TypeError, ValueError) as exc:
                 return type(exc), str(exc)
             return None
 
-        assert outcome(dist.DistTable) == outcome(self._per_entry_reference)
+        want = outcome(self._per_entry_reference)
+        assert outcome(dist.DistTable) == want
+        return want
+
+    @pytest.mark.parametrize("bad", ["2", "x", " ", "\u00e9", "\ud800", "\x00"])
+    @pytest.mark.parametrize("index", [0, 255, 256, 257, 599])
+    def test_key_check_at_chunk_edges(self, index, bad):
+        # The bit characters are checked 256 joined keys at a time: one bad
+        # key of the right length on either side of a chunk edge, and in the
+        # short last chunk, still raises the per-entry error.
+        keys = [dist.bin_n(v, 10) for v in range(600)]
+        keys[index] = keys[index][:4] + bad + keys[index][5:]
+        probs = dict.fromkeys(keys, Fraction(1, 600))
+        assert self._check_against_reference(probs, 10) == (
+            ValueError, f"not a bitstring: {keys[index]!r}"
+        )
+
+    @pytest.mark.parametrize("key", ["0\u00e91", "0\ud8001"])
+    def test_key_check_non_ascii(self, key):
+        # Neither a non-ASCII character nor a lone surrogate may reach an
+        # encoder error.
+        want = (ValueError, f"not a bitstring: {key!r}")
+        assert self._check_against_reference({key: Fraction(1)}) == want
+        assert self._check_against_reference({"000": Fraction(1, 2), key: Fraction(1, 2)}) == want
+
+    def test_table_build_peak_stays_near_its_size(self):
+        # The outputs stream into the counts, and the key check holds one
+        # chunk at a time: the build's tracemalloc peak stays within 1.2x of
+        # what the finished table keeps.  A lookup table of all 2^n n-bit
+        # strings read 1.53x at n = 12, one join of every key 1.89x.
+        inst = generate_instance(12, make_rng(12, "table-peak"))
+        spec = dist.gen_spec(inst, 5)
+        dist.exact_table(spec)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = dist.exact_table(spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.probs) == 1 << 12
+        assert peak - start <= 1.2 * (kept - start)
 
     def test_key_out_of_range(self, inst7):
         for make in (dist.kgen_spec, dist.gen_spec):
@@ -472,21 +515,24 @@ class TestDistances:
         kl = dist.kl_divergence(p, q)
         assert dist.tv_distance(p, q) <= math.log(2) * math.sqrt(kl) + 1e-12
 
+    @staticmethod
+    def _kl_reference(p, q):
+        # One term per entry, in entry order, each from the Fraction ratio.
+        total = 0.0
+        for bits, prob in p.probs.items():
+            if prob == 0:
+                continue
+            q_prob = q.probs.get(bits, 0)
+            if q_prob == 0:
+                return math.inf
+            total += float(prob) * math.log2(float(Fraction(prob) / Fraction(q_prob)))
+        if -1e-9 < total < 0.0:
+            return 0.0
+        return total
+
     @pytest.mark.parametrize("seed", range(40))
     def test_kl_matches_fraction_formula_bit_for_bit(self, seed):
-        def reference(p, q):
-            total = 0.0
-            for bits, prob in p.probs.items():
-                if prob == 0:
-                    continue
-                q_prob = q.probs.get(bits, 0)
-                if q_prob == 0:
-                    return math.inf
-                total += float(prob) * math.log2(float(Fraction(prob) / Fraction(q_prob)))
-            if -1e-9 < total < 0.0:
-                return 0.0
-            return total
-
+        reference = self._kl_reference
         rng = random.Random(seed)
         n = rng.randint(1, 6)
 
@@ -511,6 +557,38 @@ class TestDistances:
             r = random_table(q_exact, random_keys())
             for a, b in ((p, q), (q, p), (p, p), (p, r), (r, p)):
                 assert dist.kl_divergence(a, b).hex() == reference(a, b).hex()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kl_with_shared_values_matches_reference(self, seed):
+        # Exact tables share one value object per count.  Here both tables
+        # draw each entry from a small pool of shared objects or as a fresh
+        # equal copy, so one P object meets several Q objects and the reverse.
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        keys = [dist.bin_n(v, n) for v in range(1 << n)]
+
+        def shared_table(exact):
+            weights = [rng.choice([0, 1, 1, 2, 3]) for _ in keys]
+            weights[0] += 1
+            total = sum(weights)
+            pool = {w: Fraction(w, total) if exact else w / total for w in set(weights)}
+            probs = {}
+            for k, w in zip(keys, weights):
+                value = pool[w]
+                probs[k] = value if rng.random() < 0.7 else value * 1  # an equal copy
+            if not exact:
+                probs[keys[0]] += 1.0 - sum(probs.values())
+            return dist.DistTable(n, probs)
+
+        for p_exact, q_exact in itertools.product((True, False), repeat=2):
+            p, q = shared_table(p_exact), shared_table(q_exact)
+            for a, b in ((p, q), (q, p), (p, p)):
+                assert dist.kl_divergence(a, b).hex() == self._kl_reference(a, b).hex()
+        # The CLI's case: two enumerated tables, equal or disjoint.
+        inst = generate_instance(8, make_rng(8, "kl-shared"))
+        a, b = (dist.exact_table(dist.gen_spec(inst, key)) for key in (3, 4))
+        assert dist.kl_divergence(a, a) == self._kl_reference(a, a) == 0.0
+        assert dist.kl_divergence(a, b) == math.inf
 
 
 class TestFiles:
