@@ -128,7 +128,6 @@ class ExactGeneratorReport(NamedTuple):
 
     n: int
     m: int
-    total_functions: int
     exact_functions: tuple[tuple[str, ...], ...]
     raw_permutation_count: int
     distinct_permuted_count: int
@@ -172,7 +171,6 @@ def classify_exact_generators(c: BoolFn, m: int) -> ExactGeneratorReport:
     return ExactGeneratorReport(
         n=n,
         m=m,
-        total_functions=total,
         exact_functions=tuple(sorted(exact)),
         raw_permutation_count=math.factorial(seeds),
         distinct_permuted_count=len(permuted),

@@ -63,9 +63,7 @@ def _render(record: dict, fmt: str) -> str:
 
 def cmd_instance(args) -> int:
     if args.n < 3:
-        print("error: --n must be >= 3 (no usable safe prime has fewer than 3 bits)",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--n must be >= 3 (no usable safe prime has fewer than 3 bits)")
     inst = nt.generate_instance(args.n, make_rng(args.seed, "instance"),
                                 keep_secret=args.keep_secret)
     _emit(_render(inst.to_json_dict(), args.format), args.out)
@@ -77,14 +75,11 @@ def cmd_sample(args) -> int:
         with open(args.instance, encoding="ascii") as fh:
             inst = nt.GroupInstance.from_json_dict(json.load(fh))
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load instance: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"cannot load instance: {exc}") from exc
     if not 1 <= args.key <= inst.q:
-        print(f"error: --key must lie in 1..{inst.q} for this instance", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--key must lie in 1..{inst.q} for this instance")
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--count must be >= 1")
     oracle = SampleOracle(gen_spec(inst, args.key), make_rng(args.seed, "sample"))
     lines = (oracle.sample() for _ in range(args.count))
     if args.out:
@@ -98,19 +93,16 @@ def cmd_learn(args) -> int:
     try:
         samples = read_samples(args.samples)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read samples: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"cannot read samples: {exc}") from exc
     if not samples:
-        print("error: sample file is empty", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("sample file is empty")
     learned = learn_from_sample(samples[0])
     record = learned.to_json_dict()
     record["samples_used"] = str(learned.samples_used)
     if args.target_key is not None:
         inst = learned.inst
         if not 1 <= args.target_key <= inst.q:
-            print(f"error: --target-key must lie in 1..{inst.q}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"--target-key must lie in 1..{inst.q}")
         if inst.n <= 12:
             target = exact_table(gen_spec(inst, args.target_key))
             mine = exact_table(learned.spec)
@@ -127,9 +119,8 @@ def cmd_game(args) -> int:
         "reduction": args.learner == "exact",
     }[args.game]
     if recovers_keys and args.n > MAX_DLOG_N:
-        print(f"error: --n must be <= {MAX_DLOG_N} when the game recovers keys "
-              "(discrete-log feasibility cap)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--n must be <= {MAX_DLOG_N} when the game recovers keys "
+                         "(discrete-log feasibility cap)")
     if args.game == "distinguish":
         adversary = {
             "keylearner": key_learner_adversary(),

@@ -6,11 +6,9 @@ keyed function consumes.  A generator is a deterministic map from m seed
 bits to output bits; the distribution it induces weights each output y by
 the fraction of seeds mapped to y.
 
-``exact_table`` counts outputs as integers and divides once per distinct
-count, so its entries are ``Fraction``s; ``DistTable.to_float`` gives the
-float copy.  The identity checks in :mod:`genlearn.boolfn` rely on exact
-tables.  How ``kgen_spec`` and ``gen_spec`` list their outputs and walk
-single seeds is described once, in :mod:`genlearn.prf`.
+The identity checks in :mod:`genlearn.boolfn` rely on ``exact_table``'s
+``Fraction`` entries.  How ``kgen_spec`` and ``gen_spec`` list their
+outputs and walk single seeds is described once, in :mod:`genlearn.prf`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "encode_params",
     "decode_params",
     "kgen_eval",
-    "gen_eval",
     "kgen_spec",
     "gen_spec",
     "uniform_spec",
@@ -108,11 +105,6 @@ def kgen_eval(inst: GroupInstance, key: int, x: str) -> str:
     return x + bin_n(prf_eval(inst, key, x), inst.n)
 
 
-def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
-    """x || BIN_n(F(key, x)) || BIN_3n(params); output length 5n."""
-    return kgen_eval(inst, key, x) + encode_params(inst)
-
-
 def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     """Every x || BIN_n(F(key, x)) || suffix, x ascending, one tree level at a time.
 
@@ -123,8 +115,6 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     suffix``, made by C-level ``map``s as the caller draws it: no Python
     step per leaf, and no list of all 2^n outputs.
     """
-    if not 1 <= key <= inst.q:
-        raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
     n, p, q = inst.n, inst.p, inst.q
     rows = [], []
     for row, base in zip(rows, (inst.g, inst.g_a)):
@@ -144,28 +134,27 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     return map(operator.add, map(operator.getitem, heads, repeat(slice(3, None))), repeat(suffix))
 
 
-def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
-    """The spec of ``kgen_eval``; its walks share one ``KeyedWalker``."""
+def _keyed_spec(inst: GroupInstance, key: int, suffix: str) -> GeneratorSpec:
+    """x || BIN_n(F(key, x)) || suffix; its walks share one ``KeyedWalker``,
+    which checks the key before any output is walked or listed."""
     walk = KeyedWalker(inst, key)
     n = inst.n
     return GeneratorSpec(
         seed_bits=n,
-        out_bits=2 * n,
-        eval_fn=lambda x: x + bin_n(walk(x), n),
-        outputs_fn=partial(_tree_outputs, inst, key, ""),
+        out_bits=2 * n + len(suffix),
+        eval_fn=lambda x: x + bin_n(walk(x), n) + suffix,
+        outputs_fn=partial(_tree_outputs, inst, key, suffix),
     )
+
+
+def kgen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
+    """The spec of ``kgen_eval``: x || BIN_n(F(key, x)), output length 2n."""
+    return _keyed_spec(inst, key, "")
 
 
 def gen_spec(inst: GroupInstance, key: int) -> GeneratorSpec:
-    """The spec of ``gen_eval``: ``kgen_spec``'s walks, the suffix encoded once."""
-    kgen = kgen_spec(inst, key).eval_fn
-    suffix = encode_params(inst)
-    return GeneratorSpec(
-        seed_bits=inst.n,
-        out_bits=5 * inst.n,
-        eval_fn=lambda x: kgen(x) + suffix,
-        outputs_fn=partial(_tree_outputs, inst, key, suffix),
-    )
+    """x || BIN_n(F(key, x)) || BIN_3n(params), output length 5n; the suffix is encoded once."""
+    return _keyed_spec(inst, key, encode_params(inst))
 
 
 def uniform_spec(width: int) -> GeneratorSpec:

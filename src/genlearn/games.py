@@ -156,7 +156,7 @@ def run_distinguisher_game(
                 )
             rng = make_rng(seed, f"adversary-{arm}", i)
             try:
-                accepts += 1 if adversary(inst.public(), oracle, rng) else 0
+                accepts += 1 if adversary(inst, oracle, rng) else 0
             except QueryBudgetExceeded:
                 invalid += 1
         return accepts, invalid
@@ -283,7 +283,7 @@ def run_inference_game(
         rng = make_rng(seed, "strategy", i)
         exam_rng = make_rng(seed, "exam", i)
         try:
-            exam = strategy.choose_exam(inst.public(), oracle, rng)
+            exam = strategy.choose_exam(inst, oracle, rng)
         except QueryBudgetExceeded:
             invalid += 1
             continue

@@ -14,14 +14,8 @@ Conventions used throughout the package:
   bijection onto {1, ..., q} and key recovery degenerates.  p = 7 is the
   smallest usable instance.
 
-``PowTable`` (fixed-base windows) serves many powers of one base and
-``DlogTable`` (one baby-step table) many logs to one base; where each way
-of exponentiating is used is described in :mod:`genlearn.prf`.  The
-safe-prime search keeps its candidate stream and makes each test
-cheap: a sieve lookup below 2**16, gcds with products of the sieved
-primes above (p and q screened together), then Miller-Rabin.  The sieve
-is built at import; the block products on the first test of a candidate
-at or above 2**16, once per process.
+``DlogTable`` (one baby-step table) serves many logs to one base; where
+each way of exponentiating is used is described in :mod:`genlearn.prf`.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ __all__ = [
     "f_p",
     "f_p_inv",
     "DlogTable",
-    "PowTable",
     "discrete_log",
     "generate_instance",
     "validate_instance",
@@ -276,38 +269,6 @@ class DlogTable:
         raise ValueError(f"{y} is not a power of the table's base mod {p}")
 
 
-# Exponent bits per PowTable row: a power costs one multiplication per
-# window, a table 2**_POW_WINDOW entries per row.  It must stay 8: a power
-# indexes row k by byte k of the exponent.
-_POW_WINDOW = 8
-
-
-class PowTable:
-    """Fixed-base powers of ``base`` mod p for exponents below 2**e_bits.
-
-    Row k holds base**(j * 2**(W*k)) for j < 2**W, W = ``_POW_WINDOW``
-    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), so a power is
-    the product of ``rows[k][byte k of e]``, reduced once, instead of
-    builtin ``pow``'s square-and-multiply; ``prf.KeyedWalker`` applies that
-    to ``rows`` inline.  Building costs 2**W multiplications per row; it
-    pays back only when many powers share the base, so callers that
-    exponentiate once use ``pow``.
-    """
-
-    def __init__(self, p: int, base: int, e_bits: int):
-        rows = []
-        step = base
-        for _ in range(-(-e_bits // _POW_WINDOW)):
-            row = [1] * (1 << _POW_WINDOW)
-            acc = 1
-            for j in range(1, 1 << _POW_WINDOW):
-                acc = acc * step % p
-                row[j] = acc
-            rows.append(row)
-            step = acc * step % p
-        self.rows = rows
-
-
 def discrete_log(p: int, base: int, y: int) -> int:
     """Solve base**e == y mod p for e in {1, ..., q}, q = (p - 1) / 2.
 
@@ -329,7 +290,7 @@ class GroupInstance(NamedTuple):
     """A QR group instance (p, q, g, g^a); the public parameterization.
 
     ``a_secret`` is retained only when an instance is generated in test
-    mode; public views carry ``None`` there.
+    mode; every other instance carries ``None`` there.
     """
 
     n: int
@@ -339,24 +300,9 @@ class GroupInstance(NamedTuple):
     g_a: int
     a_secret: int | None = None
 
-    def public(self) -> "GroupInstance":
-        """The instance with the secret exponent stripped."""
-        if self.a_secret is None:
-            return self
-        return self._replace(a_secret=None)
-
     def to_json_dict(self) -> dict[str, str]:
-        """Decimal-string fields in fixed order: n, p, q, g, g_a[, a_secret]."""
-        out = {
-            "n": str(self.n),
-            "p": str(self.p),
-            "q": str(self.q),
-            "g": str(self.g),
-            "g_a": str(self.g_a),
-        }
-        if self.a_secret is not None:
-            out["a_secret"] = str(self.a_secret)
-        return out
+        """Decimal-string fields in field order; a ``None`` secret is left out."""
+        return {name: str(value) for name, value in self._asdict().items() if value is not None}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupInstance":

@@ -7,9 +7,9 @@ canonical set {1, ..., q}; the fold map ``f_p`` carries group elements
 back into that set so the generator can be iterated.
 
 Inputs are checked once, where they enter: ``ggm_walk`` checks its bits
-and key, ``KeyedWalker`` each input and its key once, the oracles their
-query points.  Inside the walk every power of g or g_a is a residue
-(instances are built only by ``generate_instance`` or
+and key, ``KeyedWalker`` its key when it is built and each input once, the
+oracles their query points.  Inside the walk every power of g or g_a is a
+residue (instances are built only by ``generate_instance`` or
 ``validate_instance``), so each level folds with ``min(y, p - y)``
 instead of the Euler-checked ``f_p``.
 
@@ -19,14 +19,14 @@ powers one of three ways, by how often a base recurs:
 * builtin ``pow`` (square-and-multiply) in ``ggm_walk``, for every single
   walk: ``prf_eval``, the oracles, and any function evaluated once below
   n = 64, such as the spec the games' reduction learner returns; also for
-  one-off powers such as instance checks.  Building tables there would
+  one-off powers such as instance checks.  Building rows there would
   cost more than the walk saves.
-* ``numtheory.PowTable`` in ``KeyedWalker``, for one (instance, key)
+* byte rows (``_pow_rows``) in ``KeyedWalker``, for one (instance, key)
   walked many times at random inputs, as ``kgen_spec`` and ``gen_spec``
-  are by ``sample``.  It builds a table for g and one for g_a on its second
+  are by ``sample``.  It builds the rows of g and of g_a on its second
   walk below n = 64, where its first walk is ``prf_eval``, and on its first
   walk from n = 64 on, where the builds cost about one ``pow`` walk.  A
-  table power is the product of one row entry per exponent byte, reduced
+  row power is the product of one row entry per exponent byte, reduced
   once mod p: at n = 64, about 1.7-2.1 us against 17-19 us for ``pow``.
 * fold rows in ``distributions``, for exact tables, which walk no seed:
   one row per base holds the folded powers of every seed b in 1..q, one
@@ -44,7 +44,7 @@ from math import prod
 from operator import getitem
 from typing import Callable
 
-from .numtheory import GroupInstance, PowTable
+from .numtheory import GroupInstance
 
 __all__ = [
     "QueryBudgetExceeded",
@@ -94,26 +94,48 @@ def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     return ggm_walk(inst, key, x)
 
 
-# From this n on a KeyedWalker builds its tables on its first walk.  One pow
-# walk against two builds plus one table walk (3.11.7): 4 vs 30 us at n = 8,
+# From this n on a KeyedWalker builds its rows on its first walk.  One pow
+# walk against two builds plus one row walk (3.11.7): 4 vs 30 us at n = 8,
 # 0.7 vs 0.63 ms at n = 56, 1.0 vs 0.97 ms at n = 64.  Specs walked once (the
 # games at n = 8, key recovery up to n = 40) keep builtin pow.
 _TABLES_FIRST_N = 64
 
 
+def _pow_rows(p: int, base: int, width: int) -> list[list[int]]:
+    """``width`` rows of 256 fixed-base powers of ``base`` mod p.
+
+    Row k holds base**(j * 256**k) for j < 256 (Brickell, Gordon, McCurley
+    and Wilson, EUROCRYPT '92), so base**e for 0 <= e < 256**width is the
+    product of row k's entry at byte k of e, reduced once mod p.  A build
+    costs 256 multiplications per row.
+    """
+    rows = []
+    for _ in range(width):
+        acc, row = 1, [1]
+        for _ in range(255):
+            acc = acc * base % p
+            row.append(acc)
+        rows.append(row)
+        base = acc * base % p
+    return rows
+
+
 class KeyedWalker:
     """F(key, x) for one (instance, key), for callers that walk it many times.
 
-    Table walks take each level's power from one ``PowTable`` for g and one
-    for g_a.  They are built by the first walk from n = ``_TABLES_FIRST_N``
-    on; below it the first walk is ``prf_eval`` and the second builds them.
+    The key is checked here, once.  Row walks take each level's power from
+    the ``_pow_rows`` of g or of g_a, held in ``tables``.  They are built by
+    the first walk from n = ``_TABLES_FIRST_N`` on; below it the first walk
+    is ``prf_eval`` and the second builds them.
     """
 
     def __init__(self, inst: GroupInstance, key: int):
+        if not 1 <= key <= inst.q:
+            raise ValueError(f"seed/key {key} outside canonical range 1..{inst.q}")
         self.inst = inst
         self.key = key
         self.walks = 0
-        self.tables: tuple[PowTable, PowTable] | None = None
+        self.tables: tuple[list[list[int]], list[list[int]]] | None = None
 
     def __call__(self, x: str) -> int:
         inst = self.inst
@@ -123,16 +145,14 @@ class KeyedWalker:
             return value
         check_bits(x, inst.n)
         if self.tables is None:
-            if not 1 <= self.key <= inst.q:
-                raise ValueError(f"seed/key {self.key} outside canonical range 1..{inst.q}")
-            e_bits = inst.q.bit_length()
-            self.tables = (PowTable(inst.p, inst.g, e_bits), PowTable(inst.p, inst.g_a, e_bits))
+            width = -(-inst.q.bit_length() // 8)
+            self.tables = (_pow_rows(inst.p, inst.g, width), _pow_rows(inst.p, inst.g_a, width))
         self.walks += 1
         p, q = inst.p, inst.q
-        rows_g, rows_g_a = self.tables[0].rows, self.tables[1].rows
+        rows_g, rows_g_a = self.tables
         width = len(rows_g)
         b = self.key
-        # The table power is written out here, and y <= q folds as
+        # The row power is written out here, and y <= q folds as
         # min(y, p - y) without the call: 50 walks at n = 64 cost 0.78 of the
         # per-row kernel's time through a power method, 0.65 as here.
         for ch in x:

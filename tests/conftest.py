@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import genlearn
+from genlearn.distributions import encode_params, kgen_eval
 from genlearn.numtheory import GroupInstance
 
 
@@ -22,6 +23,12 @@ def brute_log(p: int, g: int, y: int) -> int:
         if acc == y:
             return e
     raise ValueError(f"no discrete log of {y} base {g} mod {p}")
+
+
+def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
+    """Reference generator output x || BIN_n(F(key, x)) || BIN_3n(params):
+    one walk from the root and one parameter encoding per call."""
+    return kgen_eval(inst, key, x) + encode_params(inst)
 
 
 @pytest.fixture(scope="session")

@@ -160,7 +160,6 @@ class TestExactClassification:
     def test_n1_m1_counts(self):
         for c in all_functions(1):
             report = bf.classify_exact_generators(c, 1)
-            assert report.total_functions == 16
             assert report.exact_count == 2
             assert report.raw_permutation_count == 2
             assert report.matches_characterization
@@ -172,7 +171,6 @@ class TestExactClassification:
         # support string).
         for c in all_functions(1):
             report = bf.classify_exact_generators(c, 2)
-            assert report.total_functions == 256
             assert report.exact_count == 6
             assert report.raw_permutation_count == 24
             assert report.distinct_permuted_count == 6
@@ -181,7 +179,6 @@ class TestExactClassification:
     def test_n2_m2_characterization(self):
         for c in all_functions(2):
             report = bf.classify_exact_generators(c, 2)
-            assert report.total_functions == 4096
             assert report.exact_count == 24
             assert report.matches_characterization
 
@@ -190,7 +187,6 @@ class TestExactClassification:
         # support strings equally often, and no padded generator exists.
         for c in all_functions(2):
             report = bf.classify_exact_generators(c, 1)
-            assert report.total_functions == 64
             assert report.exact_functions == ()
             assert report.distinct_permuted_count == 0
             assert report.matches_characterization

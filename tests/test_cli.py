@@ -282,6 +282,50 @@ class TestSearchBudget:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestUsageErrors:
+    # Every usage error is one stderr line, "error: " and the message, exit
+    # code 2 and no stdout.  Paths are relative to the test's cwd.
+    CASES = [
+        pytest.param(["instance", "--n", "2"],
+                     "--n must be >= 3 (no usable safe prime has fewer than 3 bits)",
+                     id="instance-n"),
+        pytest.param(["sample", "--instance", "missing.json", "--key", "1", "--count", "1"],
+                     "cannot load instance: [Errno 2] No such file or directory: "
+                     "'missing.json'", id="sample-missing-instance"),
+        pytest.param(["sample", "--instance", "bad.json", "--key", "1", "--count", "1"],
+                     "cannot load instance: malformed instance record: 'p'",
+                     id="sample-malformed-instance"),
+        pytest.param(["sample", "--instance", "inst.json", "--key", "6", "--count", "1"],
+                     "--key must lie in 1..5 for this instance", id="sample-key"),
+        pytest.param(["sample", "--instance", "inst.json", "--key", "1", "--count", "0"],
+                     "--count must be >= 1", id="sample-count"),
+        pytest.param(["learn", "--samples", "missing.txt"],
+                     "cannot read samples: [Errno 2] No such file or directory: "
+                     "'missing.txt'", id="learn-missing-samples"),
+        pytest.param(["learn", "--samples", "bad.txt"],
+                     "cannot read samples: not a bitstring: '01x'", id="learn-bad-samples"),
+        pytest.param(["learn", "--samples", "empty.txt"], "sample file is empty",
+                     id="learn-empty"),
+        pytest.param(["learn", "--samples", "samples.txt", "--target-key", "0"],
+                     "--target-key must lie in 1..5", id="learn-target-key"),
+        pytest.param(["game", "--game", "infer", "--n", "41"],
+                     "--n must be <= 40 when the game recovers keys "
+                     "(discrete-log feasibility cap)", id="game-n-cap"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_one_stderr_line_and_exit_2(self, argv, message, instance_file, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(instance_file.parent)
+        Path("bad.json").write_text('{"n": "4"}')
+        Path("bad.txt").write_text("01x\n")
+        Path("empty.txt").write_text("")
+        assert main(["sample", "--instance", "inst.json", "--key", "3", "--count", "1",
+                     "--out", "samples.txt"]) == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestVerifyCommand:
     def test_boollemmas_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "boollemmas")

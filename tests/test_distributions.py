@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_eval
 from genlearn import boolfn, games, learner
 from genlearn import distributions as dist
 from genlearn import prf
-from genlearn.numtheory import GroupInstance, PowTable, generate_instance
+from genlearn.numtheory import GroupInstance, generate_instance
 from genlearn.prf import prf_eval
 from genlearn.seeding import make_rng
 
@@ -56,13 +57,13 @@ class TestGeneratorEvals:
             assert len(dist.kgen_eval(inst7, 1, x)) == 6
 
     def test_gen_examples(self, inst7):
-        assert dist.gen_eval(inst7, 1, "111") == "111011111010100"
-        assert dist.gen_eval(inst7, 1, "000") == "000001111010100"
+        assert gen_eval(inst7, 1, "111") == "111011111010100"
+        assert gen_eval(inst7, 1, "000") == "000001111010100"
 
     def test_gen_suffix_constant(self, inst7):
         suffix = dist.encode_params(inst7)
         for v in range(8):
-            assert dist.gen_eval(inst7, 2, dist.bin_n(v, 3)).endswith(suffix)
+            assert gen_eval(inst7, 2, dist.bin_n(v, 3)).endswith(suffix)
 
     def test_length_mismatch(self, inst7):
         with pytest.raises(ValueError):
@@ -85,7 +86,7 @@ class TestSpecWalks:
         rng = random.Random(n)
         key = rng.randint(1, inst.q)
         specs = ((dist.kgen_spec(inst, key), dist.kgen_eval),
-                 (dist.gen_spec(inst, key), dist.gen_eval))
+                 (dist.gen_spec(inst, key), gen_eval))
         for spec, reference in specs:
             for i in range(1, 51):
                 x = format(rng.getrandbits(n), f"0{n}b")
@@ -99,13 +100,13 @@ class TestSpecWalks:
         # builds none, and an exact table, which expands the tree, walks no
         # seed.  From n = 64 on the first walk builds the one pair.
         built = []
+        pow_rows = prf._pow_rows
 
-        class CountingTable(PowTable):
-            def __init__(self, p, base, e_bits):
-                super().__init__(p, base, e_bits)
-                built.append(base)
+        def counting_rows(p, base, width):
+            built.append(base)
+            return pow_rows(p, base, width)
 
-        monkeypatch.setattr(prf, "PowTable", CountingTable)
+        monkeypatch.setattr(prf, "_pow_rows", counting_rows)
         inst = generate_instance(12, make_rng(3, "table-count"))
         for make in (dist.kgen_spec, dist.gen_spec):
             once = make(inst, 5)
@@ -389,7 +390,7 @@ class TestExactTable:
         inst = generate_instance(n, make_rng(n, "tree-expansion"))
         key = random.Random(n).randint(1, inst.q)
         for make, reference in ((dist.kgen_spec, dist.kgen_eval),
-                                (dist.gen_spec, dist.gen_eval)):
+                                (dist.gen_spec, gen_eval)):
             # Keys 1 and q reach the first and the last entry of the fold rows.
             for k in (1, inst.q):
                 want = [reference(inst, k, dist.bin_n(v, n)) for v in range(1 << n)]

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from conftest import gen_eval
 from genlearn import games, prf
-from genlearn.distributions import gen_eval, kgen_eval, uniform_spec
+from genlearn.distributions import kgen_eval, uniform_spec
 from genlearn.numtheory import generate_instance
 from genlearn.seeding import make_rng
 
@@ -252,13 +253,13 @@ class TestLearnerInferenceReduction:
         # The exact learner's spec is evaluated once per trial, which is
         # cheaper with builtin pow than with fixed-base tables.
         built = []
+        pow_rows = prf._pow_rows
 
-        class CountingTable(prf.PowTable):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(args)
+        def counting_rows(*args):
+            built.append(args)
+            return pow_rows(*args)
 
-        monkeypatch.setattr(prf, "PowTable", CountingTable)
+        monkeypatch.setattr(prf, "_pow_rows", counting_rows)
         reduction = games.learner_to_inference(games.exact_generator_learner, form="gen")
         games.run_inference_game(reduction, 8, 50, seed=25)
         assert reduction.case_log.count("a") >= 45

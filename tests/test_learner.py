@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from conftest import brute_log
+from conftest import brute_log, gen_eval
 from genlearn import distributions as dist
 from genlearn import learner
 from genlearn.learner import (
@@ -134,10 +134,10 @@ class TestLearnFromSample:
         assert learned.samples_used == 1
 
     def test_learned_spec_replays_generator(self, inst7):
-        learned = learn_from_sample(dist.gen_eval(inst7, 2, "010"))
+        learned = learn_from_sample(gen_eval(inst7, 2, "010"))
         for v in range(8):
             x = dist.bin_n(v, 3)
-            assert learned.spec.eval(x) == dist.gen_eval(inst7, 2, x)
+            assert learned.spec.eval(x) == gen_eval(inst7, 2, x)
 
     def test_truncated_sample(self):
         with pytest.raises(InvalidSampleError):
@@ -203,7 +203,7 @@ class TestPacGeneratorLearn:
             key = make_rng(i, "pac8-key").randint(1, inst.q)
             oracle = dist.SampleOracle(dist.gen_spec(inst, key), make_rng(i, "pac8-draw"))
             learned = pac_generator_learn(oracle)
-            if learned.key == key and learned.inst == inst.public():
+            if learned.key == key and learned.inst == inst:
                 exact += 1
         assert exact == 100
 

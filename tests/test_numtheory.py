@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_log
 from genlearn import numtheory as nt
+from genlearn import prf
 from genlearn.seeding import make_rng
 
 
@@ -204,7 +205,6 @@ class TestInstanceGeneration:
             assert nt.is_qr(inst.p, inst.g_a) and inst.g_a != 1
             assert 1 <= inst.a_secret <= inst.q - 1
             assert pow(inst.g, inst.a_secret, inst.p) == inst.g_a
-            assert inst.public().a_secret is None
 
     def test_json_roundtrip_and_field_order(self):
         inst = nt.generate_instance(8, make_rng(1, "json"), keep_secret=True)
@@ -212,7 +212,7 @@ class TestInstanceGeneration:
         assert list(record) == ["n", "p", "q", "g", "g_a", "a_secret"]
         assert all(isinstance(v, str) for v in record.values())
         assert nt.GroupInstance.from_json_dict(record) == inst
-        public = inst.public().to_json_dict()
+        public = inst._replace(a_secret=None).to_json_dict()
         assert list(public) == ["n", "p", "q", "g", "g_a"]
 
     def test_validate_instance_errors(self):
@@ -416,38 +416,43 @@ class TestDlogTable:
             assert table.log(pow(inst.g, e, inst.p)) == e
 
 
-def table_pow(table, p, e):
-    # prf.KeyedWalker's table power on one table's rows: one row entry per
-    # exponent byte, reduced once mod p.  Raises OverflowError outside the rows.
-    rows = table.rows
+def table_pow(rows, p, e):
+    # prf.KeyedWalker's row power: one row entry per exponent byte, reduced
+    # once mod p.  Raises OverflowError outside the rows.
     return math.prod(map(getitem, rows, e.to_bytes(len(rows), "little"))) % p
 
 
+def pow_rows(p, base, e_bits):
+    # The walker's rows for exponents of ``e_bits`` bits: one row per byte.
+    return prf._pow_rows(p, base, -(-e_bits // 8))
+
+
 class TestPowTable:
+    """``prf._pow_rows``, the walker's fixed-base power rows, read as it reads them."""
+
     @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
     def test_matches_pow_exhaustive(self, p):
         q = (p - 1) // 2
         for base in (2, 3, 4, p - 2, p - 1):
             for e_bits in (1, 5, 6, 7, 12, q.bit_length()):
-                table = nt.PowTable(p, base, e_bits)
+                rows = pow_rows(p, base, e_bits)
                 for e in range(1 << e_bits):
-                    assert table_pow(table, p, e) == pow(base, e, p), (base, e_bits, e)
+                    assert table_pow(rows, p, e) == pow(base, e, p), (base, e_bits, e)
 
     @pytest.mark.parametrize("n", [65, 129])
     def test_matches_pow_random_wide(self, n):
         inst = nt.generate_instance(n, make_rng(n, "pow-table"))
         e_bits = n - 1  # 64 and 128 exponent bits
         rng = random.Random(n)
-        window = nt._POW_WINDOW
-        top = (e_bits - 1) // window * window  # lowest bit of the top window
+        top = (e_bits - 1) // 8 * 8  # lowest bit of the top byte
         for base in (inst.g, inst.g_a, 2):
-            table = nt.PowTable(inst.p, base, e_bits)
+            rows = pow_rows(inst.p, base, e_bits)
             exponents = [rng.getrandbits(e_bits) for _ in range(300)]
             exponents += [0, 1, inst.q, (1 << e_bits) - 1]
             exponents += [j << top for j in range(1, 1 << (e_bits - top))]
             for e in exponents:
-                assert table_pow(table, inst.p, e) == pow(base, e, inst.p), e
-        assert table_pow(nt.PowTable(inst.p, inst.g, e_bits), inst.p, inst.q) == 1
+                assert table_pow(rows, inst.p, e) == pow(base, e, inst.p), e
+        assert table_pow(pow_rows(inst.p, inst.g, e_bits), inst.p, inst.q) == 1
 
     @pytest.mark.parametrize("e_bits", [5, 8, 12, 63])
     def test_exponent_range_is_whole_rows(self, e_bits):
@@ -455,11 +460,11 @@ class TestPowTable:
         # hold is answered, and one past either end raises instead of
         # dropping bits.
         inst = nt.generate_instance(64, make_rng(1, "pow-range"))
-        table = nt.PowTable(inst.p, inst.g, e_bits)
-        top = 1 << (8 * len(table.rows))
-        assert len(table.rows) == -(-e_bits // nt._POW_WINDOW)
+        rows = pow_rows(inst.p, inst.g, e_bits)
+        top = 1 << (8 * len(rows))
+        assert len(rows) == -(-e_bits // 8) and {len(row) for row in rows} == {256}
         for e in (0, top - 1):
-            assert table_pow(table, inst.p, e) == pow(inst.g, e, inst.p)
+            assert table_pow(rows, inst.p, e) == pow(inst.g, e, inst.p)
         for e in (-1, top):
             with pytest.raises(OverflowError):
-                table_pow(table, inst.p, e)
+                table_pow(rows, inst.p, e)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlearn import prf
+from genlearn.distributions import gen_spec, kgen_spec
 from genlearn.numtheory import f_p, generate_instance
 from genlearn.seeding import make_rng
 
@@ -138,23 +139,26 @@ class TestKeyedWalker:
         assert walk.tables is None  # no tables for a walk that was refused
         assert walk("101") == 1 and walk.tables is not None
 
-    def test_key_checked_on_first_walk(self, inst7):
-        for key in (0, 4, -1):
-            walk = prf.KeyedWalker(inst7, key)
-            for _ in range(2):
-                with pytest.raises(ValueError):
-                    walk("101")
-            assert walk.walks == 0 and walk.tables is None
+    def test_key_checked_at_construction(self):
+        # The walker checks its key once, when it is built, and both keyed
+        # specs build theirs first, so a bad key is refused before any walk:
+        # below n = 64, where walk 1 is prf_eval, and from n = 64 on.
+        for n in (3, 64):
+            inst = generate_instance(n, make_rng(n, "walker-key"))
+            for key in (0, inst.q + 1, -1):
+                for make in (prf.KeyedWalker, kgen_spec, gen_spec):
+                    with pytest.raises(ValueError, match="outside canonical range"):
+                        make(inst, key)
 
-    def test_first_table_walk_checks_key_and_input(self):
-        # At n = 64 the first walk builds tables instead of calling
-        # prf_eval; it refuses what prf_eval refuses and builds nothing then.
+    def test_first_table_walk_checks_input(self):
+        # At n = 64 the first walk builds rows instead of calling prf_eval;
+        # it refuses what prf_eval refuses and builds nothing then.
         inst = generate_instance(64, make_rng(64, "first-walk"))
         good = "01" * 32
-        for key, x in ((0, good), (inst.q + 1, good), (5, "01x" + good[3:]), (5, good[1:])):
-            walk = prf.KeyedWalker(inst, key)
+        for x in ("01x" + good[3:], good[1:]):
+            walk = prf.KeyedWalker(inst, 5)
             with pytest.raises(ValueError):
-                prf.prf_eval(inst, key, x)
+                prf.prf_eval(inst, 5, x)
             for _ in range(2):
                 with pytest.raises(ValueError):
                     walk(x)
