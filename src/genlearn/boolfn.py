@@ -1,13 +1,5 @@
 """Distributions built from Boolean functions, and their exact generators.
 
-A function c on n bits induces the distribution uniform on the 2^n strings
-x || c(x).  This module provides the induced generator, seed padding
-(which leaves the distribution untouched), the best possible under-seeded
-generator, and a brute-force classifier that enumerates every function on
-a small seed space, partitions it into exact and non-exact generators for
-the target, and checks the exact ones against the padded generator
-composed with every seed permutation.
-
 All arithmetic here is exact rational: the statements being checked are
 equalities, and float comparison would weaken them.
 """
@@ -112,7 +104,7 @@ def optimal_short_generator(c: BoolFn, m: int) -> GeneratorSpec:
         raise ValueError(f"seed width {m} is not short for arity {c.n}")
 
     def eval_fn(seed: str) -> str:
-        x = bin_n(int(seed, 2), c.n)
+        x = seed.zfill(c.n)
         return x + c(x)
 
     return GeneratorSpec(seed_bits=m, out_bits=c.n + 1, eval_fn=eval_fn)

@@ -113,12 +113,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_game(args) -> int:
-    recovers_keys = {
-        "distinguish": args.adversary == "keylearner",
-        "infer": args.strategy == "keylearner",
-        "reduction": args.learner == "exact",
-    }[args.game]
-    if recovers_keys and args.n > MAX_DLOG_N:
+    players = {"distinguish": args.adversary, "infer": args.strategy, "reduction": args.learner}
+    player = players[args.game]
+    if player in ("keylearner", "exact") and args.n > MAX_DLOG_N:
         raise ValueError(f"--n must be <= {MAX_DLOG_N} when the game recovers keys "
                          "(discrete-log feasibility cap)")
     if args.game == "distinguish":
@@ -126,15 +123,15 @@ def cmd_game(args) -> int:
             "keylearner": key_learner_adversary(),
             "constant": make_constant_adversary(1),
             "coinflip": coin_flip_adversary,
-        }[args.adversary]
+        }[player]
         result = run_distinguisher_game(
             adversary, args.flavor, args.n, args.trials, args.seed
         ).to_dict()
     elif args.game == "infer":
-        strategy = KeyLearnerStrategy() if args.strategy == "keylearner" else RandomGuessStrategy()
+        strategy = KeyLearnerStrategy() if player == "keylearner" else RandomGuessStrategy()
         result = run_inference_game(strategy, args.n, args.trials, args.seed).to_dict()
     else:  # reduction
-        if args.learner == "exact":
+        if player == "exact":
             reduction = learner_to_inference(exact_generator_learner, form="gen")
         else:
             reduction = learner_to_inference(uniform_distribution_learner, form="kgen")

@@ -82,7 +82,8 @@ class GeneratorSpec(NamedTuple):
             raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
         if self.outputs_fn is not None:
             return self.outputs_fn()
-        return map(self.eval_fn, (format(v, f"0{m}b") for v in range(1 << m)))
+        # bin(2^m + v)[3:] is v in m bits, and "" for the one seed of m = 0.
+        return map(self.eval_fn, (bin(v)[3:] for v in range(1 << m, 2 << m)))
 
 
 def encode_params(inst: GroupInstance) -> str:
@@ -172,8 +173,8 @@ class SampleOracle:
 
     def sample(self) -> str:
         self.count += 1
-        seed = format(self._rng.getrandbits(self.spec.seed_bits), f"0{self.spec.seed_bits}b")
-        return self.spec.eval(seed)
+        m = self.spec.seed_bits
+        return self.spec.eval(bin(self._rng.getrandbits(m) | 1 << m)[3:])
 
 
 def _only_bits(keys) -> bool:
@@ -195,8 +196,7 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
     Entries absent from ``probs`` have probability zero.  Values are
     either all ``Fraction`` (exact mode, sums checked exactly) or floats
     (sums checked to 1e-12).  Every way of building one (the constructor,
-    ``_make``, ``_replace``) runs ``__post_init__``'s check, which reads
-    the keys' characters 256 joined keys at a time (``_only_bits``).
+    ``_make``, ``_replace``) runs ``__post_init__``'s check.
     """
 
     __slots__ = ()
@@ -263,9 +263,9 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
 def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
     """The exact induced table of a generator, by full seed enumeration.
 
-    The enumeration budget is 2^20 seeds.  Entries keep the seed order of
-    their first occurrence; all entries with the same count share one
-    ``Fraction``.  ``exact=False`` returns the same table ``to_float()``.
+    Entries keep the seed order of their first occurrence; all entries
+    with the same count share one ``Fraction``.  ``exact=False`` returns
+    the same table ``to_float()``.
     """
     from fractions import Fraction
     counts: dict = {}

@@ -1,20 +1,8 @@
 """Monte-Carlo harnesses: distinguisher games, the inference exam, and the
 learner-to-inference reduction.
 
-All games take an integer master seed; per-trial randomness is derived
-from (seed, role label, trial index), so runs are reproducible bit for
-bit and both arms of the distinguisher game see the identical stream of
-group instances (coupled randomness).  Confidence intervals are Hoeffding
-bounds at fixed 99% confidence.
-
-The distinguisher game serves an adversary either the keyed function with
-a uniform key or a lazily tabulated uniformly random function, through a
-membership-query or random-example handle, and reports the acceptance
-rate gap.  The inference game makes a strategy pick a fresh "exam string"
-after its query phase and identify the true function value among a
-shuffled pair.  ``learner_to_inference`` turns any sample-consuming
-generator learner into an inference strategy by serving its SAMPLE
-queries through membership queries.
+Each game derives every trial's randomness from its master seed with
+``seeding.make_rng``.
 """
 
 from __future__ import annotations
@@ -74,7 +62,17 @@ def default_query_budget(n: int) -> int:
 
 
 def _random_bits(rng: random.Random, n: int) -> str:
-    return format(rng.getrandbits(n), f"0{n}b")
+    return bin(rng.getrandbits(n) | 1 << n)[3:]  # "" when n = 0
+
+
+def _probe(params: GroupInstance, oracle: MembershipOracle, rng: random.Random) -> tuple[int, str]:
+    """Query one random point, recover the key from its value, and draw a
+    second, distinct point: returns (key, second point)."""
+    x1 = _random_bits(rng, params.n)
+    key = learn_key(params, x1, oracle.query(x1))
+    while (x2 := _random_bits(rng, params.n)) == x1:
+        pass
+    return key, x2
 
 
 def _record(result) -> dict:
@@ -121,14 +119,14 @@ def run_distinguisher_game(
     seed: int,
     query_budget: int | None = None,
 ) -> AdvantageEstimate:
-    """Estimate an adversary's advantage at telling keyed from random.
+    """Estimate an adversary's advantage at telling the keyed function, with
+    a uniform key, from a lazily tabulated random function.
 
     ``adversary(params, oracle, rng) -> accept bit`` receives the public
     instance and a flavored oracle: "mq" serves membership queries, "pex"
-    random examples.  Trials split evenly between the keyed and random
-    arms, and both arms replay the same per-index instances and keys.  A
-    trial whose adversary overruns the query budget is invalidated and
-    excluded from the rates.
+    random examples.  Both arms replay the same per-index instances and
+    keys (coupled randomness).  A trial whose adversary overruns the query
+    budget is invalid.
     """
     if flavor not in ("mq", "pex"):
         raise ValueError(f"unknown oracle flavor {flavor!r}")
@@ -195,14 +193,8 @@ def key_learner_adversary():
     """
 
     def adversary(params: GroupInstance, oracle, rng: random.Random) -> int:
-        n = params.n
         if isinstance(oracle, MembershipOracle):
-            x1 = _random_bits(rng, n)
-            v1 = oracle.query(x1)
-            while True:
-                x2 = _random_bits(rng, n)
-                if x2 != x1:
-                    break
+            key, x2 = _probe(params, oracle, rng)
             v2 = oracle.query(x2)
         else:
             x1, v1 = oracle.draw()
@@ -210,7 +202,7 @@ def key_learner_adversary():
                 x2, v2 = oracle.draw()
                 if x2 != x1:
                     break
-        key = learn_key(params, x1, v1)
+            key = learn_key(params, x1, v1)
         return 1 if prf_eval(params, key, x2) == v2 else 0
 
     return adversary
@@ -292,7 +284,6 @@ def run_inference_game(
         except ValueError:
             violations += 1
             continue
-        # Freshness rule: the exam string must be new.  Hard-enforced.
         if exam in oracle.queried:
             violations += 1
             continue
@@ -327,21 +318,13 @@ class KeyLearnerStrategy:
     _predicted: int | None = None
 
     def choose_exam(self, params: GroupInstance, oracle: MembershipOracle, rng) -> str:
-        x1 = _random_bits(rng, params.n)
-        v1 = oracle.query(x1)
-        key = learn_key(params, x1, v1)
-        while True:
-            exam = _random_bits(rng, params.n)
-            if exam != x1:
-                break
+        key, exam = _probe(params, oracle, rng)
         self._predicted = prf_eval(params, key, exam)
         return exam
 
     def guess(self, pair: tuple[int, int], rng) -> int:
-        if pair[0] == self._predicted and pair[1] != self._predicted:
-            return 0
-        if pair[1] == self._predicted and pair[0] != self._predicted:
-            return 1
+        if self._predicted in pair and pair[0] != pair[1]:
+            return pair.index(self._predicted)
         return rng.randrange(2)
 
 
@@ -391,7 +374,6 @@ class _Reduction:
         target = GeneratorSpec(n, 2 * n + len(suffix),
                                lambda x: x + bin_n(oracle.query(x), n) + suffix)
         try:
-            # The proof's accuracy targets for the learner: log2(n) and 1/2.
             spec = self.dist_learner(SampleOracle(target, rng), n, math.log2(n), 0.5, rng)
             drawn = spec.eval(_random_bits(rng, spec.seed_bits))
             self._y = int(drawn[n : 2 * n], 2)

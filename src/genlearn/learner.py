@@ -7,11 +7,10 @@ input bit selected.  Baby-step giant-step plays the exact-dlog oracle, so
 exactness holds at bit sizes where sqrt(q) work is feasible;
 ``learn_from_sample`` refuses samples with n above ``MAX_DLOG_N`` = 40.
 
-Each key builds one baby-step table for base g (``numtheory.DlogTable``,
-ceil(sqrt(2q)) entries, dropped when the key is found) and answers all n
-levels from it.  Base-g_a logs come from the same table: with
-a = log_g(g_a), invertible mod the prime q because g_a != 1,
-log_{g_a}(y) = log_g(y) * a^-1 mod q.
+Each key builds one ``numtheory.DlogTable`` for base g, dropped when the
+key is found, and answers all n levels from it.  Base-g_a logs come from
+the same table: with a = log_g(g_a), invertible mod the prime q because
+g_a != 1, log_{g_a}(y) = log_g(y) * a^-1 mod q.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ __all__ = [
     "pac_generator_learn",
 ]
 
-# Largest n whose keys are recovered: the baby-step table holds ceil(sqrt(2q))
-# entries, up to 2**20 at n = 40 (1,036,114 entries in 75 MB by tracemalloc
-# for q = 536,765,121,341; 85 MB at the peak of building it).
+# Largest n whose keys are recovered: a DlogTable holds up to 2**20 entries
+# at n = 40 (1,036,114 in 75 MB by tracemalloc for q = 536,765,121,341;
+# 85 MB at the peak of building it).
 MAX_DLOG_N = 40
 
 
@@ -58,9 +57,8 @@ class LearnedGenerator(NamedTuple):
 def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int:
     """Invert F(., x) at the observed output fx; returns the unique key.
 
-    Walks levels j = n down to 1: unfold the current value into QR_p, then
-    dlog base g (bit 0) or base g_a (bit 1).  Exactly inverts the forward
-    walk for genuine outputs; corrupted inputs surface as range errors.
+    Exactly inverts the forward walk for genuine outputs; corrupted inputs
+    surface as range errors.
     ``inst`` is trusted to be validated, so g and g_a generate QR_p.
     ``engine`` names the discrete-log algorithm; "bsgs" is the only one.
     """

@@ -6,16 +6,14 @@ Conventions used throughout the package:
   quadratic residues mod p, is then cyclic of prime order q, and every
   element except 1 generates it.
 * Exponents live in the canonical residue set {1, ..., q}, with q standing
-  in for the mathematical residue 0 (g**q == 1 mod p).  ``discrete_log``
-  therefore never returns 0; it returns q instead.
+  in for the mathematical residue 0 (g**q == 1 mod p): a log is never 0.
 * Usable group instances additionally require q odd, i.e. p % 4 == 3.
   The single safe prime this excludes is p = 5: there -1 is itself a
   quadratic residue, so the fold map ``f_p`` (x -> x or p - x) is not a
   bijection onto {1, ..., q} and key recovery degenerates.  p = 7 is the
   smallest usable instance.
 
-``DlogTable`` (one baby-step table) serves many logs to one base; where
-each way of exponentiating is used is described in :mod:`genlearn.prf`.
+Where each way of exponentiating is used is described in :mod:`genlearn.prf`.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ __all__ = [
 ]
 
 # Primes below this bound are sieved at import and decide n < 2**16 by
-# lookup.  Their ~1,024-bit block products, which screen larger candidates
-# with one gcd per block, are built on the first such screen.
+# lookup; their ~1,024-bit block products screen larger candidates.
 _SIEVE_LIMIT = 1 << 16
 _BLOCK_BITS = 1024
 
@@ -139,11 +136,10 @@ def _probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: exact below 2**32, error < 2**-80 above.
 
-    A sieve lookup below 2**16; above, trial division by the primes below
-    2**16 as gcds with their block products, which decides every n below
-    65521**2 (just under 2**32).  Then Miller-Rabin: proven bases below
-    ~2**81, and bases derived deterministically from n beyond, keeping the
-    test reproducible across runs.
+    The sieve, then trial division by its primes as gcds with their block
+    products, decide every n below 65521**2 (just under 2**32); then
+    ``_probable_prime``, whose bases depend on n only, so the test is
+    reproducible across runs.
     """
     if n < _SIEVE_LIMIT:
         return n >= 2 and _IS_SMALL_PRIME[n] == 1
@@ -171,11 +167,8 @@ def is_safe_prime(p: int) -> bool:
 
 
 def safe_primes_below(limit: int, odd_q_only: bool = False) -> list[int]:
-    """All safe primes below ``limit``, ascending.
-
-    With ``odd_q_only`` the degenerate p = 5 (q = 2) is dropped, leaving
-    exactly the primes usable as group instances.
-    """
+    """All safe primes below ``limit``, ascending; with ``odd_q_only``, only
+    those usable as group instances (q odd)."""
     start = 7 if odd_q_only else 5
     return [p for p in range(start, limit, 2) if is_safe_prime(p)]
 
@@ -209,9 +202,8 @@ def f_p(p: int, x: int) -> int:
 def f_p_inv(p: int, y: int) -> int:
     """Inverse fold: the unique quadratic residue in {y, p - y}.
 
-    Requires q odd (p % 4 == 3): -1 is then a non-residue, so exactly one
-    of y and p - y is a residue and one Euler test decides which.  For
-    p = 5 neither may be, in which case this raises.
+    With q odd (p % 4 == 3) -1 is a non-residue, so exactly one of y and
+    p - y is a residue and one Euler test decides which.
     """
     q = (p - 1) // 2
     if not 1 <= y <= q:
@@ -253,7 +245,7 @@ class DlogTable:
         self.hop = pow(g, 256, p)
 
     def log(self, y: int) -> int:
-        """The e in {1, ..., q} with g**e == y mod p (residue 0 comes back as q)."""
+        """The e in {1, ..., q} with g**e == y mod p."""
         p, baby, stride = self.p, self.baby, self.stride
         cur = y
         for i in range(self.giants):
@@ -272,10 +264,8 @@ class DlogTable:
 def discrete_log(p: int, base: int, y: int) -> int:
     """Solve base**e == y mod p for e in {1, ..., q}, q = (p - 1) / 2.
 
-    ``base`` must be a generator of QR_p (any residue != 1) and ``y`` a
-    residue; both are checked here.  The mathematical residue 0 is
-    reported as canonical q.  Answers from a one-use ``DlogTable`` in
-    O(sqrt(q)) time and memory.
+    Checks the base and target that ``DlogTable`` trusts, then answers
+    from a one-use table in O(sqrt(q)) time and memory.
     """
     if base == 1:
         raise ValueError("base 1 does not generate the residue group")
@@ -370,12 +360,11 @@ def generate_instance(
 ) -> GroupInstance:
     """Sample an n-bit group instance: safe prime, generator, and g^a.
 
-    Candidates are uniform odd n-bit integers with the top bit set; p = 5
-    is rejected along with non-safe-primes (see module docstring).  The
-    generator comes from squaring a uniform element of {2, ..., p - 2}
-    and rejecting 1.  The exponent a is uniform over {1, ..., q - 1}:
-    a = q (i.e. 0 mod q) would give g_a = 1, leaving dlog base g_a
-    undefined.
+    Candidates are uniform odd n-bit integers with the top bit set; the
+    first usable safe prime (q odd) is taken.  The generator comes from
+    squaring a uniform element of {2, ..., p - 2} and rejecting 1.  The
+    exponent a is uniform over {1, ..., q - 1}: a = q (i.e. 0 mod q) would
+    give g_a = 1, leaving dlog base g_a undefined.
     """
     if n < 3:
         raise ValueError(f"n = {n} too small: the smallest usable safe prime, 7, needs 3 bits")

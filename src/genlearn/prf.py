@@ -7,31 +7,24 @@ canonical set {1, ..., q}; the fold map ``f_p`` carries group elements
 back into that set so the generator can be iterated.
 
 Inputs are checked once, where they enter: ``ggm_walk`` checks its bits
-and key, ``KeyedWalker`` its key when it is built and each input once, the
-oracles their query points.  Inside the walk every power of g or g_a is a
-residue (instances are built only by ``generate_instance`` or
-``validate_instance``), so each level folds with ``min(y, p - y)``
-instead of the Euler-checked ``f_p``.
+and key, ``KeyedWalker`` only its key, the oracles their query points.
+Inside the walk every power of g or g_a is a residue (instances are built
+only by ``generate_instance`` or ``validate_instance``), so each level
+folds with ``min(y, p - y)`` instead of the Euler-checked ``f_p``.
 
 Each level of a walk costs one modular power.  The package takes group
 powers one of three ways, by how often a base recurs:
 
 * builtin ``pow`` (square-and-multiply) in ``ggm_walk``, for every single
-  walk: ``prf_eval``, the oracles, and any function evaluated once below
-  n = 64, such as the spec the games' reduction learner returns; also for
-  one-off powers such as instance checks.  Building rows there would
-  cost more than the walk saves.
+  walk (``prf_eval``, the oracles) and for one-off powers such as
+  instance checks.
 * byte rows (``_pow_rows``) in ``KeyedWalker``, for one (instance, key)
   walked many times at random inputs, as ``kgen_spec`` and ``gen_spec``
-  are by ``sample``.  It builds the rows of g and of g_a on its second
-  walk below n = 64, where its first walk is ``prf_eval``, and on its first
-  walk from n = 64 on, where the builds cost about one ``pow`` walk.  A
-  row power is the product of one row entry per exponent byte, reduced
-  once mod p: at n = 64, about 1.7-2.1 us against 17-19 us for ``pow``.
-* fold rows in ``distributions``, for exact tables, which walk no seed:
-  one row per base holds the folded powers of every seed b in 1..q, one
-  multiplication each, and the tree is expanded level by level by lookups
-  in them: 2q multiplications where walking each seed takes n * 2^n powers.
+  are by ``sample``: at n = 64 a row power costs about 1.7-2.1 us against
+  17-19 us for ``pow``.
+* fold rows in ``distributions._tree_outputs``, for exact tables, which
+  walk no seed: 2q multiplications where walking each seed takes n * 2^n
+  powers.
 
 Oracle handles are stateful (query counters, memo tables) and single
 owner; everything else here is pure.
@@ -94,10 +87,9 @@ def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     return ggm_walk(inst, key, x)
 
 
-# From this n on a KeyedWalker builds its rows on its first walk.  One pow
-# walk against two builds plus one row walk (3.11.7): 4 vs 30 us at n = 8,
-# 0.7 vs 0.63 ms at n = 56, 1.0 vs 0.97 ms at n = 64.  Specs walked once (the
-# games at n = 8, key recovery up to n = 40) keep builtin pow.
+# One pow walk against two row builds plus one row walk (3.11.7): 4 vs 30 us
+# at n = 8, 0.7 vs 0.63 ms at n = 56, 1.0 vs 0.97 ms at n = 64.  So specs
+# walked once (the games at n = 8, key recovery up to n = 40) keep builtin pow.
 _TABLES_FIRST_N = 64
 
 
@@ -123,10 +115,13 @@ def _pow_rows(p: int, base: int, width: int) -> list[list[int]]:
 class KeyedWalker:
     """F(key, x) for one (instance, key), for callers that walk it many times.
 
-    The key is checked here, once.  Row walks take each level's power from
-    the ``_pow_rows`` of g or of g_a, held in ``tables``.  They are built by
-    the first walk from n = ``_TABLES_FIRST_N`` on; below it the first walk
-    is ``prf_eval`` and the second builds them.
+    The key is checked here, once.  Each input x is trusted to be an n-bit
+    string, as ``DlogTable.log`` trusts its residues: callers check it
+    where it enters, as ``GeneratorSpec.eval`` does every keyed spec's seed.
+    Row walks take each level's power from the ``_pow_rows`` of g or of
+    g_a, held in ``tables``.  They are built by the first walk from n =
+    ``_TABLES_FIRST_N`` on; below it the first walk is ``prf_eval`` and the
+    second builds them.
     """
 
     def __init__(self, inst: GroupInstance, key: int):
@@ -139,15 +134,12 @@ class KeyedWalker:
 
     def __call__(self, x: str) -> int:
         inst = self.inst
-        if self.walks == 0 and inst.n < _TABLES_FIRST_N:
-            value = prf_eval(inst, self.key, x)
-            self.walks = 1
-            return value
-        check_bits(x, inst.n)
+        self.walks += 1
+        if self.walks == 1 and inst.n < _TABLES_FIRST_N:
+            return prf_eval(inst, self.key, x)
         if self.tables is None:
             width = -(-inst.q.bit_length() // 8)
             self.tables = (_pow_rows(inst.p, inst.g, width), _pow_rows(inst.p, inst.g_a, width))
-        self.walks += 1
         p, q = inst.p, inst.q
         rows_g, rows_g_a = self.tables
         width = len(rows_g)

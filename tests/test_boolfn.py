@@ -136,6 +136,15 @@ class TestShortGenerators:
         )
         assert achieved == Fraction(3, 4)
 
+    def test_zero_seed_bits_is_a_point_mass(self):
+        # The one 0-bit seed is "": the generator puts all its mass on 0^n || c(0^n).
+        for n in (1, 2, 3):
+            for c in all_functions(n):
+                spec = bf.optimal_short_generator(c, 0)
+                assert spec.eval("") == "0" * n + c.table[0]
+                achieved = tv_distance(exact_table(spec), bf.function_table(c))
+                assert achieved == 1 - Fraction(1, 1 << n)
+
     def test_short_requires_m_below_n(self):
         with pytest.raises(ValueError):
             bf.optimal_short_generator(bf.BoolFn(2, "0110"), 2)

@@ -151,10 +151,41 @@ class TestSampleOracle:
         oracle = dist.SampleOracle(spec, random.Random(0))
         assert {oracle.sample() for _ in range(20)} == {"10"}
 
+    def test_point_mass_samples(self):
+        # A generator with no seed bits has one seed, "", and one output.
+        spec = dist.GeneratorSpec(seed_bits=0, out_bits=2, eval_fn=lambda s: s + "10")
+        assert list(spec.outputs()) == ["10"]
+        assert dist.exact_table(spec).probs == {"10": 1}
+        oracle = dist.SampleOracle(spec, random.Random(0))
+        assert {oracle.sample() for _ in range(5)} == {"10"}
+
     def test_gen_samples_share_suffix(self, inst7):
         oracle = dist.SampleOracle(dist.gen_spec(inst7, 2), random.Random(3))
         suffix = dist.encode_params(inst7)
         assert all(oracle.sample().endswith(suffix) for _ in range(50))
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_each_field_checked_once(self, n, monkeypatch):
+        # The sample-path twin of ``learn_from_sample``'s: a draw checks its
+        # seed in ``GeneratorSpec.eval`` and its output, and the walker trusts
+        # the checked seed.  Below n = 64 the first draw walks through
+        # ``prf_eval``, whose ``ggm_walk`` checks the bits once more.
+        checked = []
+        check_bits = prf.check_bits
+
+        def counting(bits, length=None):
+            checked.append((bits, length))
+            check_bits(bits, length)
+
+        for module in (dist, prf):
+            monkeypatch.setattr(module, "check_bits", counting)
+        inst = generate_instance(n, make_rng(n, "sample-checks"))
+        oracle = dist.SampleOracle(dist.gen_spec(inst, 5), random.Random(n))
+        for i in range(20):
+            checked.clear()
+            out = oracle.sample()
+            walk_check = [(out[:n], None)] if i == 0 and n < 64 else []
+            assert checked == [(out[:n], n)] + walk_check + [(out, 5 * n)], i
 
 
 class TestExactTable:

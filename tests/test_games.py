@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gen_eval
 from genlearn import games, prf
-from genlearn.distributions import kgen_eval, uniform_spec
+from genlearn.distributions import GeneratorSpec, bin_n, kgen_eval, uniform_spec
 from genlearn.numtheory import generate_instance
 from genlearn.seeding import make_rng
 
@@ -237,6 +237,45 @@ class TestInferenceGame:
             games.run_inference_game(games.RandomGuessStrategy(), 4, 0, seed=0)
 
 
+class TestExactExpectations:
+    # At n = 4 the only usable safe prime is p = 11 (13 is not safe), so
+    # q = 5 in every trial.  The key learner is always right, so it fails
+    # only when the decoy equals the true value (probability 1/q) and the
+    # shuffled pair is then a coin toss: infer passes at 1 - 1/(2q).  In the
+    # distinguisher it always accepts the keyed arm, and accepts a random
+    # function when an independent uniform value hits its prediction: 1/q.
+    n, q, seeds, trials = 4, 5, 200, 40
+
+    def check(self, rates, halfwidths, want, variance):
+        # The printed 99% Hoeffding intervals cover ``want`` at least at their
+        # nominal rate, and the mean estimate lies within 4 standard errors.
+        assert sum(abs(r - want) <= h for r, h in zip(rates, halfwidths)) >= 0.99 * self.seeds
+        se = math.sqrt(variance / (self.seeds * self.trials))
+        assert abs(sum(rates) / self.seeds - want) <= 4 * se
+
+    def test_only_instance_is_p11(self):
+        assert {generate_instance(4, make_rng(s, "instance", 0)).p for s in range(200)} == {11}
+
+    def test_key_learner_infer(self):
+        results = [games.run_inference_game(games.KeyLearnerStrategy(), self.n, self.trials, s)
+                   for s in range(self.seeds)]
+        want = 1 - 1 / (2 * self.q)
+        rates = [r.pass_rate for r in results]
+        self.check(rates, [r.ci_halfwidth for r in results], want, want * (1 - want))
+
+    @pytest.mark.parametrize("flavor", ["mq", "pex"])
+    def test_key_learner_distinguish(self, flavor):
+        adversary = games.key_learner_adversary()
+        results = [games.run_distinguisher_game(adversary, flavor, self.n, 2 * self.trials, s)
+                   for s in range(self.seeds)]
+        assert {r.p_real for r in results} == {1.0}
+        # p_real is exact, so the advantage varies only with p_random.
+        p_random = 1 / self.q
+        advantages = [r.advantage for r in results]
+        halfwidths = [r.ci_halfwidth for r in results]
+        self.check(advantages, halfwidths, 1 - p_random, p_random * (1 - p_random))
+
+
 class TestLearnerInferenceReduction:
     def test_exact_learner_dominates(self):
         reduction = games.learner_to_inference(games.exact_generator_learner, form="gen")
@@ -271,6 +310,18 @@ class TestLearnerInferenceReduction:
         assert abs(result.pass_rate - 0.5) <= result.ci_halfwidth
         # A uniform 2n-bit string almost never matches either exam value.
         assert reduction.case_log.count("b") >= 390
+
+    def test_point_mass_learner_is_scored(self):
+        # A learner may return a generator with no seed bits; its one output
+        # is the reduction's draw, here the fresh exam 1^n with the guess y = 1:
+        # case a or b, never c.
+        def point_mass_learner(oracle, n, epsilon, delta, rng):
+            return GeneratorSpec(0, 2 * n, lambda s: "1" * n + bin_n(1, n))
+
+        reduction = games.learner_to_inference(point_mass_learner, form="kgen")
+        result = games.run_inference_game(reduction, 4, 100, seed=26)
+        assert result.violations == result.invalid == 0
+        assert sorted(set(reduction.case_log)) == ["a", "b"] and len(reduction.case_log) == 100
 
     def test_failing_learner_falls_back_to_case_c(self):
         def broken_learner(oracle, n, epsilon, delta, rng):

@@ -126,18 +126,33 @@ class TestKeyedWalker:
                         assert (walk.tables is not None) == (n >= 64)
                 assert walk.walks == 50 and walk.tables is not None
 
-    def test_inputs_checked_on_every_walk(self, inst7):
-        walk = prf.KeyedWalker(inst7, 2)
-        for bad in ("0000", "01x", "01"):
-            with pytest.raises(ValueError):
-                walk(bad)
-        assert walk.walks == 0
-        assert walk("101") == 1
-        for bad in ("0000", "01x", "01"):
-            with pytest.raises(ValueError):
-                walk(bad)
-        assert walk.tables is None  # no tables for a walk that was refused
-        assert walk("101") == 1 and walk.tables is not None
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        # The arguments of every ``prf._pow_rows`` call: one per row build.
+        built = []
+        pow_rows = prf._pow_rows
+
+        def counting_rows(*args):
+            built.append(args)
+            return pow_rows(*args)
+
+        monkeypatch.setattr(prf, "_pow_rows", counting_rows)
+        return built
+
+    def test_inputs_checked_on_every_walk(self, inst7, built):
+        # The walker trusts its n-bit inputs: each keyed spec's ``eval``
+        # checks the seed before its walker sees it, before the first walk
+        # (prf_eval below n = 64) and after it, and a refused draw builds no rows.
+        for make in (kgen_spec, gen_spec):
+            spec = make(inst7, 2)
+            for _ in range(2):
+                for bad in ("0000", "01x", "01"):
+                    with pytest.raises(ValueError):
+                        spec.eval(bad)
+                assert built == []
+                assert spec.eval("101")[:6] == "101001"  # F(2, "101") = 1
+            assert len(built) == 2  # the second walk built the rows of g and g_a
+            built.clear()
 
     def test_key_checked_at_construction(self):
         # The walker checks its key once, when it is built, and both keyed
@@ -150,19 +165,23 @@ class TestKeyedWalker:
                     with pytest.raises(ValueError, match="outside canonical range"):
                         make(inst, key)
 
-    def test_first_table_walk_checks_input(self):
+    def test_first_table_walk_checks_input(self, built):
         # At n = 64 the first walk builds rows instead of calling prf_eval;
-        # it refuses what prf_eval refuses and builds nothing then.
+        # each spec refuses what prf_eval refuses and builds nothing then.
         inst = generate_instance(64, make_rng(64, "first-walk"))
         good = "01" * 32
-        for x in ("01x" + good[3:], good[1:]):
-            walk = prf.KeyedWalker(inst, 5)
-            with pytest.raises(ValueError):
-                prf.prf_eval(inst, 5, x)
-            for _ in range(2):
+        for make in (kgen_spec, gen_spec):
+            spec = make(inst, 5)
+            for x in ("01x" + good[3:], good[1:], good + "0"):
                 with pytest.raises(ValueError):
-                    walk(x)
-            assert walk.walks == 0 and walk.tables is None
+                    prf.prf_eval(inst, 5, x)
+                for _ in range(2):
+                    with pytest.raises(ValueError):
+                        spec.eval(x)
+            assert built == []
+            assert spec.eval(good)[64:128] == format(prf.prf_eval(inst, 5, good), "064b")
+            assert len(built) == 2
+            built.clear()
 
 
 class TestLazyRandomFunction:
