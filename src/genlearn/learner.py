@@ -30,9 +30,8 @@ __all__ = [
     "pac_generator_learn",
 ]
 
-# Largest n whose keys are recovered: a DlogTable holds up to 2**20 entries
-# at n = 40 (1,036,114 in 75 MB by tracemalloc for q = 536,765,121,341;
-# 85 MB at the peak of building it).
+# Largest n whose keys are recovered: at n = 40 (q = 536,765,121,341) a
+# DlogTable holds 1,398,101 entries in 88.1 MB by tracemalloc, its build peak.
 MAX_DLOG_N = 40
 
 

@@ -221,20 +221,21 @@ class DlogTable:
     ``g`` must generate QR_p (a residue other than 1), and ``log`` must be
     given residues: callers check both once, where the values enter, and
     the table trusts them.  g has prime order q, so its first q powers are
-    distinct.  Each of the m = ceil(sqrt(2q)) baby steps g**j maps to
-    j & 0xFF, a cached small int, so an entry costs about 70 bytes, not
-    115 with an int object per index.  A log takes at most ceil(q/m) giant
-    steps, then recovers j from its low byte in at most m/256
-    multiplications.  With many logs per table, the sqrt(2)-larger table
-    costs less in all (Kuhn and Struik, SAC 2001) and still fits in fewer
-    bytes than ceil(sqrt(q)) entries with full indices.
+    distinct.  The m = min(q, c) baby steps fill the dict that
+    ceil(sqrt(2q)) of them need, at no added allocation: c = 2**(k+1) // 3
+    entries fit its 2**k >= 8 slots (Kuhn and Struik, SAC 2001: with many
+    logs per table, more baby steps cost less in all).  Each g**j maps to
+    j & 0xFF, a cached small int, not an int object per index.  A log takes
+    at most ceil(q/m) giant steps, then recovers j from its low byte in at
+    most m/256 multiplications.
     """
 
     def __init__(self, p: int, g: int):
         self.p, self.g = p, g
-        self.q = (p - 1) // 2
-        self.m = m = math.isqrt(2 * self.q - 1) + 1
-        self.giants = -(-self.q // m)
+        self.q = q = (p - 1) // 2
+        need = math.isqrt(2 * q - 1) + 1
+        self.m = m = min(q, (1 << max(4, (3 * need - 1).bit_length())) // 3)
+        self.giants = -(-q // m)
         baby: dict[int, int] = {}
         acc = 1
         for j in range(m):

@@ -358,6 +358,46 @@ class TestDiscreteLog:
         assert nt.canonical_exponent(1, 5) == 1
 
 
+def sqrt_2q(q):
+    # ceil(sqrt(2q)): the baby steps a log needs with many logs per table.
+    return math.isqrt(2 * q - 1) + 1
+
+
+def dict_usable(count):
+    # Entries the smallest CPython dict table of 2**k >= 8 slots that holds
+    # ``count`` entries takes before it grows: two thirds of its slots.
+    size = 8
+    while 2 * size // 3 < count:
+        size *= 2
+    return 2 * size // 3
+
+
+def built_dict(count):
+    # A dict grown one insertion at a time, as DlogTable grows its table.
+    d = {}
+    for i in range(count):
+        d[i] = i & 0xFF
+    return d
+
+
+def safe_prime_needing(count):
+    # The least safe prime p whose q = (p - 1) / 2 has sqrt_2q(q) == count.
+    q = (count - 1) ** 2 // 2 + 1
+    while not nt.is_safe_prime(2 * q + 1):
+        q += 1
+    assert sqrt_2q(q) == count
+    return 2 * q + 1
+
+
+def assert_fills_its_dict(table):
+    # The table's dict is the one sqrt_2q(q) entries allocate, and it is
+    # full: one more entry grows it.
+    size = sys.getsizeof(table.baby)
+    assert size == sys.getsizeof(built_dict(sqrt_2q(table.q)))
+    table.baby[table.p] = 0  # p is no residue, so no entry has this key
+    assert sys.getsizeof(table.baby) > size
+
+
 class TestDlogTable:
     @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
     def test_matches_brute_walk(self, p):
@@ -368,8 +408,7 @@ class TestDlogTable:
         residues = sorted(nt.qr_set(p))
         for g in residues[1:]:
             table = nt.DlogTable(p, g)
-            m = table.m
-            assert len(table.baby) == m and (m - 1) ** 2 < 2 * q <= m * m
+            assert len(table.baby) == table.m == min(q, dict_usable(sqrt_2q(q)))
             acc = 1
             for e in range(1, q + 1):
                 acc = acc * g % p
@@ -391,23 +430,49 @@ class TestDlogTable:
                 reached += 1
         assert reached
 
-    @pytest.mark.parametrize("n", [20, 24])
+    @pytest.mark.parametrize("n", [20, 24, 28])
     def test_index_recovery_and_giant_step_edges(self, n):
         # e = i*m + j around the low-byte boundaries of j and at the first,
         # second and last giant step: the table stores only j & 0xFF, so
-        # each j >= 256 is recovered by stepping from g**(j & 0xFF).
+        # each j >= 256 is recovered by stepping from g**(j & 0xFF).  Every
+        # table at an even n has the same m.  At n = 28, j = m - 1 is 85 hops
+        # from its low byte.
+        ntheory = pytest.importorskip("sympy.ntheory")
         inst = nt.generate_instance(n, make_rng(n, "dlog-edges"))
         p, q, g = inst.p, inst.q, inst.g
         table = nt.DlogTable(p, g)
         m = table.m
-        assert m > 257
+        assert m == {20: 1365, 24: 5461, 28: 21845}[n]
         exponents = {q - 1, q}
-        for i in (0, 1, -(-q // m) - 1):
-            for j in (0, 1, 255, 256, 257, m - 1):
+        for i in (0, 1, table.giants - 2, table.giants - 1):
+            for j in (0, 1, 255, 256, 257, m - 2, m - 1):
                 if 1 <= i * m + j <= q:
                     exponents.add(i * m + j)
+        assert (q - 1) // m == table.giants - 1  # q - 1 is on the last giant step
         for e in sorted(exponents):
-            assert table.log(pow(g, e, p)) == e
+            y = pow(g, e, p)
+            expected = nt.canonical_exponent(
+                ntheory.discrete_log(p, y, g, order=q, prime_order=True), q
+            )
+            assert table.log(y) == expected == e
+
+    @pytest.mark.parametrize(
+        "count, m", [(10922, 10922), (10923, 21845), (21845, 21845), (21846, 43690)]
+    )
+    def test_fills_dict_at_capacity_steps(self, count, m):
+        # Either side of the steps where a 2**14- and a 2**15-slot dict
+        # (10,922 and 21,845 usable entries) run full.
+        p = safe_prime_needing(count)
+        table = nt.DlogTable(p, 4)
+        assert table.m == len(table.baby) == dict_usable(count) == m
+        assert_fills_its_dict(table)
+        for e in (1, table.m - 1, table.m, table.q - 1, table.q):
+            assert table.log(pow(4, e, p)) == e
+
+    @pytest.mark.parametrize("n", [8, 12, 20, 28])
+    def test_fills_dict_on_instances(self, n):
+        inst = nt.generate_instance(n, make_rng(n, "dlog-alloc"))
+        assert_fills_its_dict(nt.DlogTable(inst.p, inst.g))
 
     def test_one_table_answers_many_logs(self):
         inst = nt.generate_instance(20, make_rng(7, "table-reuse"))
