@@ -50,8 +50,8 @@ class BoolFn(namedtuple("BoolFn", "n table")):
         return cls(*fields)
 
     def __call__(self, bits: str) -> str:
-        if len(bits) != self.n:
-            raise ValueError(f"input {bits!r} is not {self.n} bits")
+        if len(bits) != self.n or bits.strip("01"):
+            raise ValueError(f"input {bits!r} is not a {self.n}-bit string")
         return self.table[int(bits, 2)]
 
     @classmethod

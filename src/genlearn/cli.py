@@ -135,9 +135,8 @@ def cmd_game(args) -> int:
             reduction = learner_to_inference(exact_generator_learner, form="gen")
         else:
             reduction = learner_to_inference(uniform_distribution_learner, form="kgen")
-        result = run_inference_game(
-            reduction, args.n, args.trials, args.seed, game_name="reduction"
-        ).to_dict()
+        result = run_inference_game(reduction, args.n, args.trials, args.seed)
+        result = result._replace(game="reduction").to_dict()
         cases = reduction.case_log
         result["cases"] = {label: cases.count(label) for label in ("a", "b", "c")}
     _emit(_render(result, args.format), args.out)

@@ -22,7 +22,7 @@ from itertools import islice, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .numtheory import GroupInstance
-from .prf import KeyedWalker, check_bits, prf_eval
+from .prf import KeyedWalker, check_bits, prf_eval, random_bits
 
 __all__ = [
     "bin_n",
@@ -173,8 +173,7 @@ class SampleOracle:
 
     def sample(self) -> str:
         self.count += 1
-        m = self.spec.seed_bits
-        return self.spec.eval(bin(self._rng.getrandbits(m) | 1 << m)[3:])
+        return self.spec.eval(random_bits(self._rng, self.spec.seed_bits))
 
 
 def _only_bits(keys) -> bool:

@@ -28,6 +28,7 @@ from .prf import (
     RandomExampleOracle,
     check_bits,
     prf_eval,
+    random_bits,
 )
 from .seeding import make_rng
 
@@ -61,18 +62,33 @@ def default_query_budget(n: int) -> int:
     return 10 * n * n
 
 
-def _random_bits(rng: random.Random, n: int) -> str:
-    return bin(rng.getrandbits(n) | 1 << n)[3:]  # "" when n = 0
+def _trials(n: int, seed: int, count: int):
+    """Each trial's (index, instance, uniform key), the same stream in every game."""
+    for i in range(count):
+        inst = generate_instance(n, make_rng(seed, "instance", i))
+        yield i, inst, make_rng(seed, "key", i).randint(1, inst.q)
+
+
+def _rate(hits: int, valid: int) -> tuple[float | None, float | None]:
+    """A rate over ``valid`` trials and its Hoeffding half-width, or (None, None)."""
+    return (hits / valid, hoeffding_halfwidth(valid)) if valid else (None, None)
+
+
+def _fresh(rng: random.Random, n: int, queried: set[str]) -> str:
+    """A uniform n-bit point outside ``queried``; ``min(queried)`` if there is none."""
+    if len(queried) == 1 << n:
+        return min(queried)
+    while (x := random_bits(rng, n)) in queried:
+        pass
+    return x
 
 
 def _probe(params: GroupInstance, oracle: MembershipOracle, rng: random.Random) -> tuple[int, str]:
     """Query one random point, recover the key from its value, and draw a
-    second, distinct point: returns (key, second point)."""
-    x1 = _random_bits(rng, params.n)
+    fresh point: returns (key, fresh point)."""
+    x1 = random_bits(rng, params.n)
     key = learn_key(params, x1, oracle.query(x1))
-    while (x2 := _random_bits(rng, params.n)) == x1:
-        pass
-    return key, x2
+    return key, _fresh(rng, params.n, oracle.queried)
 
 
 def _record(result) -> dict:
@@ -112,46 +128,36 @@ class AdvantageEstimate(NamedTuple):
 
 
 def run_distinguisher_game(
-    adversary,
-    flavor: str,
-    n: int,
-    trials: int,
-    seed: int,
-    query_budget: int | None = None,
+    adversary, flavor: str, n: int, trials: int, seed: int
 ) -> AdvantageEstimate:
     """Estimate an adversary's advantage at telling the keyed function, with
     a uniform key, from a lazily tabulated random function.
 
     ``adversary(params, oracle, rng) -> accept bit`` receives the public
     instance and a flavored oracle: "mq" serves membership queries, "pex"
-    random examples.  Both arms replay the same per-index instances and
-    keys (coupled randomness).  A trial whose adversary overruns the query
+    random examples.  Both arms replay one per-index stream of instances
+    and keys (coupled randomness): the whole real arm plays first, then
+    the whole random arm.  A trial whose adversary overruns the query
     budget is invalid.
     """
     if flavor not in ("mq", "pex"):
         raise ValueError(f"unknown oracle flavor {flavor!r}")
     if trials < 2 or trials % 2 != 0:
         raise ValueError("trials must be an even count >= 2")
-    budget = default_query_budget(n) if query_budget is None else query_budget
-    per_arm = trials // 2
-
-    instances = [generate_instance(n, make_rng(seed, "instance", i)) for i in range(per_arm)]
-    keys = [make_rng(seed, "key", i).randint(1, inst.q) for i, inst in enumerate(instances)]
+    budget = default_query_budget(n)
+    stream = list(_trials(n, seed, trials // 2))
 
     def run_arm(arm: str) -> tuple[int, int]:
-        accepts = 0
-        invalid = 0
-        for i, inst in enumerate(instances):
+        accepts = invalid = 0
+        for i, inst, key in stream:
             if arm == "real":
-                fn = partial(prf_eval, inst, keys[i])
+                fn = partial(prf_eval, inst, key)
             else:
                 fn = LazyRandomFunction(n, inst.q, make_rng(seed, "randfn", i))
             if flavor == "mq":
-                oracle = MembershipOracle(fn, n, max_queries=budget)
+                oracle = MembershipOracle(fn, n, budget)
             else:
-                oracle = RandomExampleOracle(
-                    fn, n, make_rng(seed, f"pex-{arm}", i), max_queries=budget
-                )
+                oracle = RandomExampleOracle(fn, n, make_rng(seed, f"pex-{arm}", i), budget)
             rng = make_rng(seed, f"adversary-{arm}", i)
             try:
                 accepts += 1 if adversary(inst, oracle, rng) else 0
@@ -161,11 +167,9 @@ def run_distinguisher_game(
 
     accepts_real, invalid_real = run_arm("real")
     accepts_random, invalid_random = run_arm("random")
-    valid_real = per_arm - invalid_real
-    valid_random = per_arm - invalid_random
-    p_real = accepts_real / valid_real if valid_real else None
-    p_random = accepts_random / valid_random if valid_random else None
-    both = valid_real and valid_random
+    p_real, h_real = _rate(accepts_real, len(stream) - invalid_real)
+    p_random, h_random = _rate(accepts_random, len(stream) - invalid_random)
+    both = p_real is not None and p_random is not None
     return AdvantageEstimate(
         game="distinguish",
         flavor=flavor,
@@ -174,9 +178,7 @@ def run_distinguisher_game(
         p_real=p_real,
         p_random=p_random,
         advantage=p_real - p_random if both else None,
-        ci_halfwidth=(
-            hoeffding_halfwidth(valid_real) + hoeffding_halfwidth(valid_random) if both else None
-        ),
+        ci_halfwidth=h_real + h_random if both else None,
         invalid_real=invalid_real,
         invalid_random=invalid_random,
         seed=seed,
@@ -240,14 +242,7 @@ class InferenceResult(NamedTuple):
     to_dict = _record
 
 
-def run_inference_game(
-    strategy,
-    n: int,
-    trials: int,
-    seed: int,
-    query_budget: int | None = None,
-    game_name: str = "infer",
-) -> InferenceResult:
+def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceResult:
     """Play the exam game: fresh instance and key per trial.
 
     One strategy object plays every trial: ``choose_exam(params, oracle,
@@ -265,13 +260,11 @@ def run_inference_game(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    budget = default_query_budget(n) if query_budget is None else query_budget
+    budget = default_query_budget(n)
     passes = violations = invalid = 0
 
-    for i in range(trials):
-        inst = generate_instance(n, make_rng(seed, "instance", i))
-        key = make_rng(seed, "key", i).randint(1, inst.q)
-        oracle = MembershipOracle(partial(prf_eval, inst, key), n, max_queries=budget)
+    for i, inst, key in _trials(n, seed, trials):
+        oracle = MembershipOracle(partial(prf_eval, inst, key), n, budget)
         rng = make_rng(seed, "strategy", i)
         exam_rng = make_rng(seed, "exam", i)
         try:
@@ -293,16 +286,16 @@ def run_inference_game(
         pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
         passes += 1 if strategy.guess(pair, rng) == true_index else 0
 
-    scored = trials - invalid
+    pass_rate, halfwidth = _rate(passes, trials - invalid)
     return InferenceResult(
-        game=game_name,
+        game="infer",
         n=n,
         trials=trials,
         passes=passes,
         violations=violations,
         invalid=invalid,
-        pass_rate=passes / scored if scored else None,
-        ci_halfwidth=hoeffding_halfwidth(scored) if scored else None,
+        pass_rate=pass_rate,
+        ci_halfwidth=halfwidth,
         seed=seed,
     )
 
@@ -332,7 +325,7 @@ class RandomGuessStrategy:
     """Queries nothing, picks a random exam string, guesses a coin flip."""
 
     def choose_exam(self, params: GroupInstance, oracle, rng) -> str:
-        return _random_bits(rng, params.n)
+        return random_bits(rng, params.n)
 
     def guess(self, pair, rng) -> int:
         return rng.randrange(2)
@@ -375,19 +368,14 @@ class _Reduction:
                                lambda x: x + bin_n(oracle.query(x), n) + suffix)
         try:
             spec = self.dist_learner(SampleOracle(target, rng), n, math.log2(n), 0.5, rng)
-            drawn = spec.eval(_random_bits(rng, spec.seed_bits))
+            drawn = spec.eval(random_bits(rng, spec.seed_bits))
             self._y = int(drawn[n : 2 * n], 2)
         except ValueError:
             drawn = None  # learner failure: uniform-guess fallback
         if drawn is not None and drawn[:n] not in oracle.queried:
             return drawn[:n]
         self._y = None
-        if len(oracle.queried) == 1 << n:
-            return min(oracle.queried)  # no fresh exam exists: a violation
-        while True:
-            exam = _random_bits(rng, n)
-            if exam not in oracle.queried:
-                return exam
+        return _fresh(rng, n, oracle.queried)
 
     def guess(self, pair: tuple[int, int], rng) -> int:
         guess = rng.randrange(2)

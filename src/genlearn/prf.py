@@ -42,6 +42,7 @@ from .numtheory import GroupInstance
 __all__ = [
     "QueryBudgetExceeded",
     "check_bits",
+    "random_bits",
     "ggm_walk",
     "prf_eval",
     "KeyedWalker",
@@ -61,6 +62,11 @@ def check_bits(bits: str, length: int | None = None) -> None:
         raise ValueError(f"not a bitstring: {bits!r}")
     if length is not None and len(bits) != length:
         raise ValueError(f"bitstring {bits!r} has length {len(bits)}, expected {length}")
+
+
+def random_bits(rng: random.Random, n: int) -> str:
+    """A uniform n-bit string from one ``getrandbits(n)`` draw; "" when n = 0."""
+    return bin(rng.getrandbits(n) | 1 << n)[3:]
 
 
 def ggm_walk(inst: GroupInstance, key: int, bits: str) -> int:
@@ -178,7 +184,7 @@ class LazyRandomFunction:
 class MembershipOracle:
     """MQ-style handle: query f at chosen points, with counting and a budget."""
 
-    def __init__(self, fn: Callable[[str], int], n_bits: int, max_queries: int | None = None):
+    def __init__(self, fn: Callable[[str], int], n_bits: int, max_queries: int):
         self._fn = fn
         self.n_bits = n_bits
         self.max_queries = max_queries
@@ -187,7 +193,7 @@ class MembershipOracle:
 
     def query(self, x: str) -> int:
         check_bits(x, self.n_bits)
-        if self.max_queries is not None and self.count >= self.max_queries:
+        if self.count >= self.max_queries:
             raise QueryBudgetExceeded(f"membership oracle budget {self.max_queries} exhausted")
         self.count += 1
         value = self._fn(x)
@@ -198,13 +204,7 @@ class MembershipOracle:
 class RandomExampleOracle:
     """PEX-style handle: each draw returns (x, f(x)) with x uniform."""
 
-    def __init__(
-        self,
-        fn: Callable[[str], int],
-        n_bits: int,
-        rng: random.Random,
-        max_queries: int | None = None,
-    ):
+    def __init__(self, fn: Callable[[str], int], n_bits: int, rng: random.Random, max_queries: int):
         self._fn = fn
         self.n_bits = n_bits
         self._rng = rng
@@ -212,9 +212,9 @@ class RandomExampleOracle:
         self.count = 0
 
     def draw(self) -> tuple[str, int]:
-        if self.max_queries is not None and self.count >= self.max_queries:
+        if self.count >= self.max_queries:
             raise QueryBudgetExceeded(f"example oracle budget {self.max_queries} exhausted")
         self.count += 1
-        x = format(self._rng.getrandbits(self.n_bits), f"0{self.n_bits}b")
+        x = random_bits(self._rng, self.n_bits)
         return x, self._fn(x)
 

@@ -26,6 +26,10 @@ class TestBoolFn:
             bf.BoolFn(1, "0x")
         with pytest.raises(ValueError):
             bf.BoolFn(2, "0110")("011")
+        # int(bits, 2) accepts each of these 3-character strings.
+        for bits in ("-10", "+10", " 10", "0b1", "1_0"):
+            with pytest.raises(ValueError):
+                bf.BoolFn(3, "01101001")(bits)
 
     @pytest.mark.parametrize("fields", [(1, "0"), (2, "011"), (1, "0x"), (0, "01")])
     def test_make_and_replace_validate_like_the_constructor(self, fields):

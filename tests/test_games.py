@@ -101,12 +101,21 @@ class TestDistinguisherGame:
                 oracle.query(format(v % (1 << params.n), f"0{params.n}b"))
             return 1
 
-        result = games.run_distinguisher_game(greedy, "mq", 4, 20, seed=1, query_budget=8)
+        result = games.run_distinguisher_game(greedy, "mq", 4, 20, seed=1)
         assert result.invalid_real == result.invalid_random == 10
-        result = games.run_distinguisher_game(
-            games.key_learner_adversary(), "mq", 4, 20, seed=1, query_budget=8
-        )
-        assert result.invalid_real == 0
+        # The key learner needs at most 2 membership queries, so no budget
+        # of 2 or more invalidates its trials.
+        key_learner = games.key_learner_adversary()
+        counts = []
+
+        def counting(params, oracle, rng):
+            accept = key_learner(params, oracle, rng)
+            counts.append(oracle.count)
+            return accept
+
+        result = games.run_distinguisher_game(counting, "mq", 4, 20, seed=1)
+        assert result.invalid_real == result.invalid_random == 0
+        assert len(counts) == 20 and max(counts) <= 2
 
     @staticmethod
     def overrun_first(k):
@@ -221,7 +230,7 @@ class TestInferenceGame:
                 while True:
                     oracle.query("0" * params.n)
 
-        result = games.run_inference_game(HungryStrategy(), 4, 6, seed=19, query_budget=3)
+        result = games.run_inference_game(HungryStrategy(), 4, 6, seed=19)
         assert result.invalid == 6
         assert result.pass_rate is None and result.ci_halfwidth is None
         record = json.loads(json.dumps(result.to_dict()))
@@ -274,6 +283,31 @@ class TestExactExpectations:
         advantages = [r.advantage for r in results]
         halfwidths = [r.ci_halfwidth for r in results]
         self.check(advantages, halfwidths, 1 - p_random, p_random * (1 - p_random))
+
+    def test_coin_flip_distinguish(self):
+        # Each arm accepts with probability 1/2, so the advantage is 0, and
+        # its estimate has variance 1/4 + 1/4 per trial of one arm.
+        adversary = games.coin_flip_adversary
+        results = [games.run_distinguisher_game(adversary, "mq", self.n, 2 * self.trials, s)
+                   for s in range(self.seeds)]
+        advantages = [r.advantage for r in results]
+        self.check(advantages, [r.ci_halfwidth for r in results], 0.0, 0.5)
+
+    @pytest.mark.parametrize("strategy, want", [
+        (games.RandomGuessStrategy, 1 / 2),
+        (lambda: games.learner_to_inference(games.uniform_distribution_learner, "kgen"), 1 / 2),
+        # The learner's exam repeats its one sampled x with probability
+        # 1/2^n and then falls back to a coin flip; otherwise it passes as
+        # the key learner does.  Enumerating every instance, key, sample,
+        # draw, decoy, shuffle and coin at n = 4 gives the same 7/8.
+        (lambda: games.learner_to_inference(games.exact_generator_learner, "gen"),
+         15 / 16 * (1 - 1 / (2 * q)) + 1 / 16 * 1 / 2),
+    ], ids=["infer-random", "reduction-uniform", "reduction-exact"])
+    def test_inference_expectation(self, strategy, want):
+        results = [games.run_inference_game(strategy(), self.n, self.trials, s)
+                   for s in range(self.seeds)]
+        rates = [r.pass_rate for r in results]
+        self.check(rates, [r.ci_halfwidth for r in results], want, want * (1 - want))
 
 
 class TestLearnerInferenceReduction:
@@ -392,7 +426,7 @@ class TestLearnerInferenceReduction:
                 oracle.sample()
 
         reduction = games.learner_to_inference(hungry_learner, form="gen")
-        result = games.run_inference_game(reduction, 4, 10, seed=24, query_budget=5)
+        result = games.run_inference_game(reduction, 4, 10, seed=24)
         assert result.invalid == 10
         assert reduction.case_log == []  # no trial reached guess
 

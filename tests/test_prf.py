@@ -205,12 +205,12 @@ class TestLazyRandomFunction:
 
 class TestOracles:
     def test_membership_matches_function(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=2)
         assert oracle.query("111") == 3
         assert oracle.query("000") == 1
 
     def test_counting_and_transcript(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=5)
         for _ in range(5):
             oracle.query("101")
         assert oracle.count == 5
@@ -224,17 +224,19 @@ class TestOracles:
             oracle.query("010")
 
     def test_domain_violation(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=1)
         with pytest.raises(ValueError):
             oracle.query("0101")
 
     def test_memoized_random_function_through_oracle(self):
         fn = prf.LazyRandomFunction(3, 7, random.Random(0))
-        oracle = prf.MembershipOracle(fn, 3)
+        oracle = prf.MembershipOracle(fn, 3, max_queries=2)
         assert oracle.query("010") == oracle.query("010")
 
     def test_random_examples_consistent(self, inst7):
-        oracle = prf.RandomExampleOracle(partial(prf.prf_eval, inst7, 2), 3, random.Random(9))
+        oracle = prf.RandomExampleOracle(
+            partial(prf.prf_eval, inst7, 2), 3, random.Random(9), max_queries=50
+        )
         for _ in range(50):
             x, value = oracle.draw()
             assert value == prf.prf_eval(inst7, 2, x)
@@ -242,7 +244,9 @@ class TestOracles:
 
     def test_random_examples_uniform(self, inst7):
         draws = 10_000
-        oracle = prf.RandomExampleOracle(partial(prf.prf_eval, inst7, 1), 3, random.Random(4))
+        oracle = prf.RandomExampleOracle(
+            partial(prf.prf_eval, inst7, 1), 3, random.Random(4), max_queries=draws
+        )
         counts = {}
         for _ in range(draws):
             x, _ = oracle.draw()
