@@ -26,7 +26,6 @@ from .prf import (
     MembershipOracle,
     QueryBudgetExceeded,
     RandomExampleOracle,
-    check_bits,
     prf_eval,
     random_bits,
 )
@@ -155,7 +154,7 @@ def run_distinguisher_game(
             else:
                 fn = LazyRandomFunction(n, inst.q, make_rng(seed, "randfn", i))
             if flavor == "mq":
-                oracle = MembershipOracle(fn, n, budget)
+                oracle = MembershipOracle(fn, budget)
             else:
                 oracle = RandomExampleOracle(fn, n, make_rng(seed, f"pex-{arm}", i), budget)
             rng = make_rng(seed, f"adversary-{arm}", i)
@@ -250,13 +249,15 @@ def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceRes
     harness enforces the exam rules (an exam that is not an n-bit string,
     or a reused query point, is a protocol violation, scored as a failed
     trial that never reaches ``guess``), draws the decoy value uniformly
-    from {1, ..., q}, and shuffles the pair before presenting it.  A
-    budget overrun in ``choose_exam`` invalidates the trial; any other
-    exception from the strategy propagates.  The result holds counts
-    only; a caller that needs per-trial detail wraps the strategy, which
-    sees the oracle and the presented pair.  The rate and its Hoeffding
-    half-width are over the scored (not invalid) trials, and ``None``
-    when there are none.
+    from {1, ..., q}, and shuffles the pair before presenting it.  Each
+    point is checked once, by the keyed function: the oracle calls it on
+    a query point before it tests the budget, and the harness scores the
+    exam with it before it tests freshness.  A budget overrun in
+    ``choose_exam`` invalidates the trial; any other exception from the
+    strategy propagates.  The result holds counts only; a caller that
+    needs per-trial detail wraps the strategy, which sees the oracle and
+    the presented pair.  The rate and its Hoeffding half-width are over
+    the scored (not invalid) trials, and ``None`` when there are none.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -264,7 +265,7 @@ def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceRes
     passes = violations = invalid = 0
 
     for i, inst, key in _trials(n, seed, trials):
-        oracle = MembershipOracle(partial(prf_eval, inst, key), n, budget)
+        oracle = MembershipOracle(partial(prf_eval, inst, key), budget)
         rng = make_rng(seed, "strategy", i)
         exam_rng = make_rng(seed, "exam", i)
         try:
@@ -273,14 +274,13 @@ def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceRes
             invalid += 1
             continue
         try:
-            check_bits(exam, n)
+            true_value = prf_eval(inst, key, exam)
         except ValueError:
             violations += 1
             continue
         if exam in oracle.queried:
             violations += 1
             continue
-        true_value = prf_eval(inst, key, exam)
         decoy = exam_rng.randint(1, inst.q)
         true_index = exam_rng.randrange(2)
         pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)

@@ -7,7 +7,8 @@ canonical set {1, ..., q}; the fold map ``f_p`` carries group elements
 back into that set so the generator can be iterated.
 
 Inputs are checked once, where they enter: ``ggm_walk`` checks its bits
-and key, ``KeyedWalker`` only its key, the oracles their query points.
+and key, ``KeyedWalker`` only its key; an oracle leaves its query points
+to the function it wraps.
 Inside the walk every power of g or g_a is a residue (instances are built
 only by ``generate_instance`` or ``validate_instance``), so each level
 folds with ``min(y, p - y)`` instead of the Euler-checked ``f_p``.
@@ -88,8 +89,8 @@ def ggm_walk(inst: GroupInstance, key: int, bits: str) -> int:
 
 def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     """The keyed function F(key, x) for an n-bit input x; output in {1, ..., q}."""
-    if len(x) != inst.n:
-        raise ValueError(f"bitstring {x!r} has length {len(x)}, expected {inst.n}")
+    if not isinstance(x, str) or len(x) != inst.n:
+        raise ValueError(f"not a bitstring of length {inst.n}: {x!r}")
     return ggm_walk(inst, key, x)
 
 
@@ -182,21 +183,23 @@ class LazyRandomFunction:
 
 
 class MembershipOracle:
-    """MQ-style handle: query f at chosen points, with counting and a budget."""
+    """MQ-style handle: query f at chosen points, with counting and a budget.
 
-    def __init__(self, fn: Callable[[str], int], n_bits: int, max_queries: int):
+    A query calls ``fn``, which refuses a bad point with ``ValueError``,
+    then tests the budget; neither failure is counted or recorded.
+    """
+
+    def __init__(self, fn: Callable[[str], int], max_queries: int):
         self._fn = fn
-        self.n_bits = n_bits
         self.max_queries = max_queries
         self.count = 0
         self.queried: set[str] = set()
 
     def query(self, x: str) -> int:
-        check_bits(x, self.n_bits)
+        value = self._fn(x)
         if self.count >= self.max_queries:
             raise QueryBudgetExceeded(f"membership oracle budget {self.max_queries} exhausted")
         self.count += 1
-        value = self._fn(x)
         self.queried.add(x)
         return value
 

@@ -179,12 +179,52 @@ class TestInferenceGame:
             games.run_inference_game(BuggyStrategy(), 6, 5, seed=17)
 
     def test_malformed_exam_is_a_violation(self):
-        class ShortExamStrategy(games.RandomGuessStrategy):
-            def choose_exam(self, params, oracle, rng):
-                return "0" * (params.n - 1)
+        # Whatever the exam is, if it is not an n-bit string the trial is a
+        # violation, not a crash of the harness.
+        class FixedExamStrategy(games.RandomGuessStrategy):
+            def __init__(self, exam):
+                self.exam = exam
 
-        result = games.run_inference_game(ShortExamStrategy(), 6, 5, seed=18)
-        assert result.violations == 5 and result.passes == 0
+            def choose_exam(self, params, oracle, rng):
+                return self.exam
+
+        for exam in ("0" * 5, 5, None, b"0" * 6, "01x010"):
+            result = games.run_inference_game(FixedExamStrategy(exam), 6, 5, seed=18)
+            assert result.violations == 5 and result.passes == 0, exam
+
+    def test_each_point_checked_once(self, monkeypatch):
+        # The games twin of ``SampleOracle``'s: the oracle's function checks
+        # the query point once, and the harness's walk checks the exam once.
+        checked = []
+        check_bits = prf.check_bits
+
+        def counting(bits, length=None):
+            checked.append((bits, length))
+            check_bits(bits, length)
+
+        # games imports no check_bits; patching it there too counts one
+        # that a later import brings back.
+        for module in (prf, games):
+            monkeypatch.setattr(module, "check_bits", counting, raising=False)
+
+        class OneQueryStrategy(games.RandomGuessStrategy):
+            guesses = 0
+
+            def choose_exam(self, params, oracle, rng):
+                checked.clear()
+                oracle.query("0" * params.n)
+                assert checked == [("0" * params.n, None)]
+                checked.clear()
+                return "1" * params.n
+
+            def guess(self, pair, rng):
+                assert checked == [("1" * 6, None)]
+                self.guesses += 1
+                return super().guess(pair, rng)
+
+        strategy = OneQueryStrategy()
+        result = games.run_inference_game(strategy, 6, 5, seed=19)
+        assert strategy.guesses == 5 and result.violations == 0
 
     def test_transcripts_well_formed(self):
         # Each presented pair holds the true value, which the key learner

@@ -61,10 +61,11 @@ class TestKeyedFunction:
                 assert prf.prf_eval(inst, key, x) == naive_walk(inst, key, x)
 
     def test_length_mismatch(self, inst7):
-        with pytest.raises(ValueError):
-            prf.prf_eval(inst7, 1, "0000")
-        with pytest.raises(ValueError):
-            prf.prf_eval(inst7, 1, "01x")
+        # Anything but a 3-bit string is refused with ValueError, also a
+        # non-string that has no length or has the right one.
+        for x in ("0000", "01x", 5, None, b"010"):
+            with pytest.raises(ValueError):
+                prf.prf_eval(inst7, 1, x)
 
     def test_deterministic(self, inst7):
         assert all(
@@ -205,32 +206,47 @@ class TestLazyRandomFunction:
 
 class TestOracles:
     def test_membership_matches_function(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=2)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), max_queries=2)
         assert oracle.query("111") == 3
         assert oracle.query("000") == 1
 
     def test_counting_and_transcript(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=5)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), max_queries=5)
         for _ in range(5):
             oracle.query("101")
         assert oracle.count == 5
         assert oracle.queried == {"101"}
 
     def test_budget(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=2)
+        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), max_queries=2)
         oracle.query("000")
         oracle.query("001")
         with pytest.raises(prf.QueryBudgetExceeded):
             oracle.query("010")
 
     def test_domain_violation(self, inst7):
-        oracle = prf.MembershipOracle(partial(prf.prf_eval, inst7, 1), 3, max_queries=1)
-        with pytest.raises(ValueError):
-            oracle.query("0101")
+        # The oracle leaves the domain check to its function and calls it
+        # before the budget test: a bad point raises ValueError with budget
+        # left and with none, a good point over budget raises
+        # QueryBudgetExceeded, and neither is counted or recorded.
+        bad_points = ("0101", "01", "01x", 5, None, b"010")
+        for fn in (partial(prf.prf_eval, inst7, 1), prf.LazyRandomFunction(3, 7, random.Random(0))):
+            oracle = prf.MembershipOracle(fn, max_queries=1)
+            for bad in bad_points:
+                with pytest.raises(ValueError):
+                    oracle.query(bad)
+            assert (oracle.count, oracle.queried) == (0, set())
+            oracle.query("010")
+            for bad in bad_points:
+                with pytest.raises(ValueError):
+                    oracle.query(bad)
+            with pytest.raises(prf.QueryBudgetExceeded):
+                oracle.query("011")
+            assert (oracle.count, oracle.queried) == (1, {"010"})
 
     def test_memoized_random_function_through_oracle(self):
         fn = prf.LazyRandomFunction(3, 7, random.Random(0))
-        oracle = prf.MembershipOracle(fn, 3, max_queries=2)
+        oracle = prf.MembershipOracle(fn, max_queries=2)
         assert oracle.query("010") == oracle.query("010")
 
     def test_random_examples_consistent(self, inst7):
