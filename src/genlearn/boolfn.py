@@ -70,7 +70,7 @@ def gen_from_function(c: BoolFn) -> GeneratorSpec:
 
 def function_table(c: BoolFn) -> DistTable:
     """The induced distribution: 1/2^n on each string x || c(x)."""
-    return exact_table(gen_from_function(c), exact=True)
+    return exact_table(gen_from_function(c))
 
 
 def disagreement_prob(h: BoolFn, c: BoolFn) -> Fraction:

@@ -40,7 +40,7 @@ from .games import (
     run_inference_game,
     uniform_distribution_learner,
 )
-from .learner import MAX_DLOG_N, learn_from_sample
+from .learner import MAX_DLOG_N, InvalidSampleError, learn_from_sample
 from .seeding import make_rng
 
 USAGE_ERROR = 2
@@ -97,6 +97,11 @@ def cmd_learn(args) -> int:
     if not samples:
         raise ValueError("sample file is empty")
     learned = learn_from_sample(samples[0])
+    # One generator's sample: every further line is its output at that line's x.
+    n = learned.inst.n
+    for k, line in enumerate(samples[1:], 2):
+        if len(line) != 5 * n or learned.spec.eval(line[:n]) != line:
+            raise InvalidSampleError(f"line {k} is not from the recovered generator")
     record = learned.to_json_dict()
     record["samples_used"] = str(learned.samples_used)
     if args.target_key is not None:
@@ -183,7 +188,7 @@ def _suite_kgen() -> list[tuple[str, bool]]:
     for n in range(3, 9):
         inst = nt.generate_instance(n, make_rng(20_000 + n, "verify-instance"))
         key = make_rng(20_000 + n, "verify-key").randint(1, inst.q)
-        table = exact_table(kgen_spec(inst, key), exact=True)
+        table = exact_table(kgen_spec(inst, key))
         want = Fraction(1, 1 << n)
         support_ok = set(table.probs) == {
             kgen_eval(inst, key, format(v, f"0{n}b")) for v in range(1 << n)
@@ -207,7 +212,7 @@ def _suite_boollemmas() -> list[tuple[str, bool]]:
         for v in range(1 << (1 << n)):
             c = bf.BoolFn(n, format(v, f"0{1 << n}b"))
             achieved = tv_distance(
-                exact_table(bf.optimal_short_generator(c, m), exact=True),
+                exact_table(bf.optimal_short_generator(c, m)),
                 bf.function_table(c),
             )
             ok &= achieved == 1 - Fraction(1, 1 << (n - m))
@@ -219,9 +224,7 @@ def _suite_boollemmas() -> list[tuple[str, bool]]:
         target = bf.function_table(c)
         best = min(
             tv_distance(
-                exact_table(
-                    bf.GeneratorSpec(1, 3, lambda s, o=combo: o[int(s, 2)]), exact=True
-                ),
+                exact_table(bf.GeneratorSpec(1, 3, lambda s, o=combo: o[int(s, 2)])),
                 target,
             )
             for combo in itertools.product(outputs, repeat=2)
@@ -296,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("learn", help="recover the generator behind a sample file")
-    p.add_argument("--samples", required=True, help="sample file (first line is used)")
+    p.add_argument("--samples", required=True,
+                   help="sample file of one generator (line 1 recovers it; the rest must match)")
     p.add_argument("--target-key", type=int, default=None,
                    help="report divergence/match against this sampling key")
     common(p)

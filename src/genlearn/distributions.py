@@ -263,16 +263,21 @@ def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
     """The exact induced table of a generator, by full seed enumeration.
 
     Entries keep the seed order of their first occurrence; all entries
-    with the same count share one ``Fraction``.  ``exact=False`` returns
-    the same table ``to_float()``.
+    with the same count share one ``Fraction``.  When the 2^m outputs are
+    distinct (every keyed spec: x is their prefix), the table is one
+    ``dict.fromkeys`` of the enumeration; otherwise a second enumeration
+    counts them.  ``exact=False`` returns the same table ``to_float()``.
     """
     from fractions import Fraction
-    counts: dict = {}
-    for y in spec.outputs():
-        counts[y] = counts.get(y, 0) + 1
-    probs = {c: Fraction(c, 1 << spec.seed_bits) for c in set(counts.values())}
-    for y, c in counts.items():
-        counts[y] = probs[c]
+    size = 1 << spec.seed_bits
+    counts = dict.fromkeys(spec.outputs(), Fraction(1, size))
+    if len(counts) != size:
+        counts = {}
+        for y in spec.outputs():
+            counts[y] = counts.get(y, 0) + 1
+        probs = {c: Fraction(c, size) for c in set(counts.values())}
+        for y, c in counts.items():
+            counts[y] = probs[c]
     table = DistTable(spec.out_bits, counts)
     return table if exact else table.to_float()
 

@@ -73,6 +73,13 @@ def _rate(hits: int, valid: int) -> tuple[float | None, float | None]:
     return (hits / valid, hoeffding_halfwidth(valid)) if valid else (None, None)
 
 
+def _bit(out, player: str) -> int:
+    """A player's output if it is the int 0 or 1; a ``bool`` is refused too."""
+    if type(out) is not int or out not in (0, 1):
+        raise TypeError(f"{player} returned {out!r}, not the int 0 or 1")
+    return out
+
+
 def _fresh(rng: random.Random, n: int, queried: set[str]) -> str:
     """A uniform n-bit point outside ``queried``; ``min(queried)`` if there is none."""
     if len(queried) == 1 << n:
@@ -137,7 +144,8 @@ def run_distinguisher_game(
     random examples.  Both arms replay one per-index stream of instances
     and keys (coupled randomness): the whole real arm plays first, then
     the whole random arm.  A trial whose adversary overruns the query
-    budget is invalid.
+    budget is invalid.  An output other than the int 0 or 1 (``True``
+    included) raises ``TypeError`` and is never scored.
     """
     if flavor not in ("mq", "pex"):
         raise ValueError(f"unknown oracle flavor {flavor!r}")
@@ -159,7 +167,7 @@ def run_distinguisher_game(
                 oracle = RandomExampleOracle(fn, n, make_rng(seed, f"pex-{arm}", i), budget)
             rng = make_rng(seed, f"adversary-{arm}", i)
             try:
-                accepts += 1 if adversary(inst, oracle, rng) else 0
+                accepts += _bit(adversary(inst, oracle, rng), "adversary")
             except QueryBudgetExceeded:
                 invalid += 1
         return accepts, invalid
@@ -254,10 +262,12 @@ def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceRes
     a query point before it tests the budget, and the harness scores the
     exam with it before it tests freshness.  A budget overrun in
     ``choose_exam`` invalidates the trial; any other exception from the
-    strategy propagates.  The result holds counts only; a caller that
-    needs per-trial detail wraps the strategy, which sees the oracle and
-    the presented pair.  The rate and its Hoeffding half-width are over
-    the scored (not invalid) trials, and ``None`` when there are none.
+    strategy propagates, and so does the ``TypeError`` for a guess other
+    than the int 0 or 1 (``True`` included), which is never scored.  The
+    result holds counts only; a caller that needs per-trial detail wraps
+    the strategy, which sees the oracle and the presented pair.  The rate
+    and its Hoeffding half-width are over the scored (not invalid) trials,
+    and ``None`` when there are none.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -284,7 +294,7 @@ def run_inference_game(strategy, n: int, trials: int, seed: int) -> InferenceRes
         decoy = exam_rng.randint(1, inst.q)
         true_index = exam_rng.randrange(2)
         pair = (true_value, decoy) if true_index == 0 else (decoy, true_value)
-        passes += 1 if strategy.guess(pair, rng) == true_index else 0
+        passes += _bit(strategy.guess(pair, rng), "guess") == true_index
 
     pass_rate, halfwidth = _rate(passes, trials - invalid)
     return InferenceResult(

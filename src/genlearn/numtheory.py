@@ -12,12 +12,15 @@ Conventions used throughout the package:
   quadratic residue, so the fold map ``f_p`` (x -> x or p - x) is not a
   bijection onto {1, ..., q} and key recovery degenerates.  p = 7 is the
   smallest usable instance.
+* Primality tests are exact below 3.3 * 10**24 (n <= 81 bits) and err
+  with probability at most 4**-64 above.
 
 Where each way of exponentiating is used is described in :mod:`genlearn.prf`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -40,16 +43,21 @@ __all__ = [
     "validate_instance",
 ]
 
-# Primes below this bound are sieved at import and decide n < 2**16 by
-# lookup; their ~1,024-bit block products screen larger candidates.
+# Primes below this bound are sieved at import and decide n < 2**16 by lookup.
 _SIEVE_LIMIT = 1 << 16
-_BLOCK_BITS = 1024
 
-# Miller-Rabin with the first 13 primes as bases is a proven deterministic
-# test for all n < 3_317_044_064_679_887_385_961_981 (> 2**81).  The first
-# 12 are not enough: 318_665_857_834_031_151_167_461 passes them all.
+# Miller-Rabin with the first k primes as bases is proven exact for every
+# n below the k-th bound (OEIS A014233; Jaeschke, Math. Comp. 1993;
+# Sorenson and Webster, Math. Comp. 2017): the k-th bound itself is the
+# least odd composite that passes them all.  Beyond the 13th (> 2**81),
+# 64 rounds with bases derived from n err with probability at most 4**-64.
 _MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PROVEN_LIMIT = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
 _MR_ROUNDS = 64
 
 
@@ -64,59 +72,22 @@ def _sieve() -> bytearray:
 
 
 _IS_SMALL_PRIME = _sieve()
-_PRIME_BLOCKS: tuple[tuple[int, int], ...] = ()
-
-
-def _prime_blocks() -> tuple[tuple[int, int], ...]:
-    """The sieved primes' block products in ascending order, each paired with
-    the largest prime it holds.  Kept in ``_PRIME_BLOCKS``, so ``_screen``
-    builds them once per process."""
-    global _PRIME_BLOCKS
-    blocks = []
-    prod = 1
-    for sp in itertools.compress(range(_SIEVE_LIMIT), _IS_SMALL_PRIME):
-        prod *= sp
-        if prod.bit_length() >= _BLOCK_BITS:
-            blocks.append((prod, sp))
-            prod = 1
-    if prod > 1:
-        blocks.append((prod, sp))
-    _PRIME_BLOCKS = tuple(blocks)
-    return _PRIME_BLOCKS
-
-
-def _screen(m: int, top: int) -> bool | None:
-    """Trial division of m by the sieved primes, one gcd per block.
-
-    m is n itself or p * q, each factor above every sieved prime, so a
-    shared factor means that one of them is composite: False.  True once the blocks have passed sqrt(top)
-    with no shared factor: every divisor of m in 2..top is then prime.
-    None if the blocks run out first.
-    """
-    for block, last in _PRIME_BLOCKS or _prime_blocks():
-        if math.gcd(m, block) != 1:
-            return False
-        if last * last >= top:
-            return True
-    return None
+# The primes below 2**8, 2 included, multiplied into one 335-bit screen.
+_SMALL_PRIMES_PRODUCT = math.prod(itertools.compress(range(1 << 8), _IS_SMALL_PRIME))
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    """Whether odd n passes the strong test to every base, each in 2..n - 2."""
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
     for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
+            x = x * x % n
+            if x == m:
                 break
         else:
             return False
@@ -124,46 +95,47 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def _probable_prime(n: int) -> bool:
-    """Miller-Rabin for odd n with no factor below the sieve limit: the proven
-    base set below ~2**81, and 64 rounds with bases derived from n beyond."""
-    if n < _MR_PROVEN_LIMIT:
-        return _miller_rabin(n, _MR_PROVEN_BASES)
+    """Miller-Rabin for n at or above the sieve limit: exact below
+    3.3 * 10**24, where n below the k-th proven bound takes the first k
+    proven bases; above, 64 rounds with bases derived from n, which err
+    with probability at most 4**-64."""
+    k = bisect.bisect_right(_MR_PROVEN_LIMIT, n) + 1
+    if k <= len(_MR_PROVEN_BASES):
+        return _miller_rabin(n, _MR_PROVEN_BASES[:k])
     base_rng = random.Random(n)
     bases = [base_rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
     return _miller_rabin(n, bases)
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: exact below 2**32, error < 2**-80 above.
+    """Primality test: exact below 3.3 * 10**24, error at most 4**-64 above.
 
-    The sieve, then trial division by its primes as gcds with their block
-    products, decide every n below 65521**2 (just under 2**32); then
-    ``_probable_prime``, whose bases depend on n only, so the test is
-    reproducible across runs.
+    The sieve decides n below 2**16.  Beyond it, one gcd with the product
+    of the primes below 2**8 rejects most composites, and
+    ``_probable_prime`` decides the rest; its bases depend on n only, so
+    the test is reproducible across runs.
     """
     if n < _SIEVE_LIMIT:
         return n >= 2 and _IS_SMALL_PRIME[n] == 1
-    screened = _screen(n, n)
-    if screened is not None:
-        return screened
-    return _probable_prime(n)
+    return math.gcd(n, _SMALL_PRIMES_PRODUCT) == 1 and _probable_prime(n)
 
 
 def is_safe_prime(p: int) -> bool:
     """True iff p and (p - 1) / 2 are both prime.
 
-    Beyond the sieve, p and q are screened together, one gcd of p * q per
-    block, before either gets a Miller-Rabin test.
+    Beyond the sieve, p and q are screened together, one gcd of p * q with
+    the small-prime product, before either gets a Miller-Rabin test.
     """
     if p < 5 or p % 2 == 0:
         return False
     q = (p - 1) // 2
     if q < _SIEVE_LIMIT:
         return is_prime(p) and is_prime(q)
-    screened = _screen(p * q, p)
-    if screened is not None:
-        return screened
-    return _probable_prime(p) and _probable_prime(q)
+    return (
+        math.gcd(p * q, _SMALL_PRIMES_PRODUCT) == 1
+        and _probable_prime(p)
+        and _probable_prime(q)
+    )
 
 
 def safe_primes_below(limit: int, odd_q_only: bool = False) -> list[int]:

@@ -170,6 +170,43 @@ class TestLearnCommand:
         code, _, err = run_cli(capsys, "learn", "--samples", str(bad))
         assert code == 2 and "instance" in err
 
+    @staticmethod
+    def _lines(tmp_path, n, inst_seed, key, count, seed):
+        inst = tmp_path / f"inst-{n}-{inst_seed}.json"
+        assert main(["instance", "--n", str(n), "--seed", str(inst_seed), "--out", str(inst)]) == 0
+        out = tmp_path / "drawn.txt"
+        assert main(["sample", "--instance", str(inst), "--key", str(key),
+                     "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
+        return out.read_text(encoding="ascii").splitlines()
+
+    def _learn(self, tmp_path, capsys, lines):
+        path = tmp_path / "samples.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        return run_cli(capsys, "learn", "--samples", str(path), "--target-key", "9")
+
+    @pytest.mark.parametrize("case, bad", [
+        ("two keys", 3), ("flipped value bit", 3), ("other instance", 2), ("other length", 2),
+    ])
+    def test_every_line_must_come_from_the_recovered_generator(self, case, bad, tmp_path, capsys):
+        key5 = self._lines(tmp_path, 12, 3, 5, 3, 1)
+        line3 = key5[2]
+        lines = key5[:2] + {
+            "two keys": lambda: self._lines(tmp_path, 12, 3, 9, 2, 2),
+            "flipped value bit": lambda: [line3[:12] + "10"[int(line3[12])] + line3[13:]],
+            "other instance": lambda: self._lines(tmp_path, 12, 4, 5, 1, 1),
+            "other length": lambda: self._lines(tmp_path, 8, 3, 5, 1, 1),
+        }[case]()
+        if bad == 2:
+            del lines[1]
+        code, out, err = self._learn(tmp_path, capsys, lines)
+        assert (code, out) == (2, "")
+        assert err == f"error: line {bad} is not from the recovered generator\n"
+
+    def test_consistent_lines_print_what_line_one_prints(self, tmp_path, capsys):
+        lines = self._lines(tmp_path, 12, 3, 9, 3, 1)
+        assert self._learn(tmp_path, capsys, lines) == self._learn(tmp_path, capsys, lines[:1])
+        assert json.loads(self._learn(tmp_path, capsys, lines)[1])["samples_used"] == "1"
+
     def test_engine_option_is_gone(self, capsys):
         # Keys are recovered with the baby-step table only; there is no engine to pick.
         with pytest.raises(SystemExit) as exc:
@@ -559,21 +596,19 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_import_leaves_fractions_and_prime_blocks_unbuilt(self):
+    def test_import_leaves_fractions_unloaded(self):
         # Only exact tables, TV/disagreement values and the verify suites need
-        # Fraction (which loads decimal and numbers), and only candidates at
-        # or above 2**16 need the prime-block products.
+        # Fraction (which loads decimal and numbers).
         root = str(Path(genlearn.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-I", "-c",
              "import sys; sys.path.insert(0, sys.argv[1]); import genlearn.cli; "
-             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)), "
-             "sys.modules['genlearn.numtheory']._PRIME_BLOCKS)", root],
+             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))", root],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[] ()"
+        assert proc.stdout.strip() == "[]"
 
     def test_games_leave_fractions_unloaded(self):
         # The benchmarked games build no table: Fraction stays out of them.

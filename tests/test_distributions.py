@@ -200,8 +200,35 @@ class TestExactTable:
         assert table.probs == want
         assert sum(table.probs.values()) == 1
 
+    @staticmethod
+    def _counted(spec):
+        # The count path: one Fraction per distinct count, first-occurrence order.
+        counts = Counter(spec.outputs())
+        shared = {c: Fraction(c, 1 << spec.seed_bits) for c in set(counts.values())}
+        return {y: shared[c] for y, c in counts.items()}
+
+    def test_distinct_outputs_take_one_shared_value(self, inst7):
+        inst12 = generate_instance(12, make_rng(12, "injective"))
+        c = boolfn.BoolFn(2, "0110")
+        specs = [
+            dist.GeneratorSpec(2, 2, lambda s: "00" if s == "11" else s),  # one repeat
+            dist.GeneratorSpec(3, 1, lambda s: s[0]),
+            dist.kgen_spec(inst7, 2),
+            dist.gen_spec(inst12, 5),
+            dist.uniform_spec(4),
+            boolfn.gen_from_function(c),
+            boolfn.padded_generator(c, 4),
+            boolfn.optimal_short_generator(c, 1),
+        ]
+        for spec in specs:
+            want = self._counted(spec)
+            probs = dist.exact_table(spec).probs
+            assert probs == want and list(probs) == list(want)
+            # One value object per distinct count, shared by its entries.
+            assert len(set(map(id, probs.values()))) == len(set(want.values()))
+
     def test_float_mode(self, inst7):
-        table = dist.exact_table(dist.kgen_spec(inst7, 1), exact=False)
+        table = dist.exact_table(dist.kgen_spec(inst7, 1)).to_float()
         assert not table.is_exact()
         assert all(abs(v - 0.125) < 1e-15 for v in table.probs.values())
 
@@ -433,14 +460,16 @@ class TestExactTable:
                 want: dict = {}
                 for y in outputs:
                     want[y] = want.get(y, 0) + unit
-                table = dist.exact_table(make(inst, key), exact=exact)
+                table = dist.exact_table(make(inst, key))
+                table = table if exact else table.to_float()
                 assert table.probs == want
                 assert list(table.probs) == list(want)
                 assert {type(v) for v in table.probs.values()} == {type(unit)}
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_prob_lookup(self, inst7, exact):
-        table = dist.exact_table(dist.kgen_spec(inst7, 1), exact=exact)
+        table = dist.exact_table(dist.kgen_spec(inst7, 1))
+        table = table if exact else table.to_float()
         assert table.prob("000001") == Fraction(1, 8)  # present: F(1, 000) = 1
         assert table.prob("000010") == 0  # absent from the support
         with pytest.raises(ValueError):

@@ -147,6 +147,12 @@ class TestDistinguisherGame:
         record = json.loads(json.dumps(result.to_dict()))
         assert record["p_real"] is None and record["advantage"] is None and record["ci"] is None
 
+    @pytest.mark.parametrize("output", ["0", True, False, 2, -1, 1.0, None])
+    def test_output_that_is_not_a_bit_is_refused(self, output):
+        # A string "0" is truthy: it once read p_real = p_random = 1.0.
+        with pytest.raises(TypeError, match=f"adversary returned {output!r}, not the int 0 or 1"):
+            games.run_distinguisher_game(games.make_constant_adversary(output), "mq", 6, 20, seed=1)
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             games.run_distinguisher_game(games.coin_flip_adversary, "mq", 4, 5, seed=0)
@@ -280,6 +286,16 @@ class TestInferenceGame:
         result = games.run_inference_game(games.RandomGuessStrategy(), 4, 100, seed=16)
         assert result.ci_halfwidth == pytest.approx(games.hoeffding_halfwidth(100))
         assert 0.0 <= result.pass_rate <= 1.0
+
+    @pytest.mark.parametrize("guess", [True, False, "1", 2, 0.0])
+    def test_guess_that_is_not_a_bit_is_refused(self, guess):
+        # A guess of True once scored as index 1 and passed 9 of 20 trials.
+        class NonBitStrategy(games.RandomGuessStrategy):
+            def guess(self, pair, rng):
+                return guess
+
+        with pytest.raises(TypeError, match=f"guess returned {guess!r}, not the int 0 or 1"):
+            games.run_inference_game(NonBitStrategy(), 6, 20, seed=1)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

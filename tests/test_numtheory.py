@@ -1,9 +1,7 @@
 import math
 import random
-import subprocess
 import sys
 from operator import getitem
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,51 +79,58 @@ class TestPrimality:
         for _ in range(3000):
             n = rng.getrandbits(rng.randrange(16, 129))
             assert nt.is_prime(n) == sympy.isprime(n), n
-            # Odd candidates with no factor below 2**16 reach Miller-Rabin.
+            # Odd candidates with no factor below 2**8 reach Miller-Rabin.
             m = n | 1
             assert nt.is_prime(m) == sympy.isprime(m), m
 
-    def test_prime_blocks_match_eager_construction(self):
-        # Built on first use, the blocks are the ones an import-time build
-        # made: ~1,024-bit products of consecutive primes below 2**16.
-        sympy = pytest.importorskip("sympy")
-        primes = list(sympy.primerange(1 << 16))
-        eager, prod = [], 1
-        for sp in primes:
-            prod *= sp
-            if prod.bit_length() >= 1024:
-                eager.append((prod, sp))
-                prod = 1
-        if prod > 1:
-            eager.append((prod, primes[-1]))
-        blocks = nt._PRIME_BLOCKS or nt._prime_blocks()
-        assert list(blocks) == eager
-        assert nt._prime_blocks() == blocks
-        lasts = [last for _, last in blocks]
-        assert lasts == sorted(set(lasts)) and lasts[-1] == 65521
-        assert math.prod(block for block, _ in blocks) == math.prod(primes)
+    def test_proven_bounds_fool_their_bases_but_not_is_prime(self):
+        # The k-th A014233 bound is an odd composite that passes Miller-Rabin
+        # with the first k primes as bases, so it must take k + 1 of them.
+        bases = nt._MR_PROVEN_BASES
+        assert len(nt._MR_PROVEN_LIMIT) == len(bases)
+        for k, bound in enumerate(nt._MR_PROVEN_LIMIT, 1):
+            assert nt._miller_rabin(bound, bases[:k]), (k, bound)
+            assert not nt.is_prime(bound), bound
+            if bound >= nt._SIEVE_LIMIT:
+                assert not nt._probable_prime(bound), bound
 
-    def test_fresh_is_safe_prime_on_64_bit_candidates_matches_sympy(self):
-        # The first primality call of the process builds the blocks inside
-        # is_safe_prime's p * q screen; its answers must not depend on that.
+    def test_probable_prime_takes_the_fewest_proven_bases(self, monkeypatch):
+        seen = []
+        real = nt._miller_rabin
+        monkeypatch.setattr(nt, "_miller_rabin", lambda n, b: seen.append(list(b)) or real(n, b))
+        p28 = nt.generate_instance(28, make_rng(3, "instance")).p
+        assert nt._probable_prime(p28) and seen[-1] == [2, 3, 5, 7]
+        assert nt._probable_prime(65537) and seen[-1] == [2, 3]
+        big = (1 << 89) - 1  # past the last bound: 64 bases derived from n
+        assert nt._probable_prime(big) and len(seen[-1]) == 64
+
+    def test_composites_without_small_factors_reach_miller_rabin(self):
+        # 257 and 263 are the first primes the 2**8 screen lets through.
+        for n in (257 * 257, 257 * 263, 263 * 65537, 65537 * 65539):
+            assert math.gcd(n, nt._SMALL_PRIMES_PRODUCT) == 1
+            assert not nt.is_prime(n), n
+        # p = 145463 is prime; q = 257 * 283 passes the screen beside it.
+        assert nt.is_prime(145463) and not nt.is_safe_prime(145463)
+
+    def test_screen_alone_rejects_multiples_of_small_primes(self, monkeypatch):
+        def unreachable(n):
+            raise AssertionError(f"{n} reached Miller-Rabin")
+
+        monkeypatch.setattr(nt, "_probable_prime", unreachable)
+        for n in range(1 << 16, (1 << 16) + 400, 2):
+            assert not nt.is_prime(n), n
+        for sp in (2, 3, 5, 7, 251):
+            assert not nt.is_prime(sp * 1_000_003), sp
+        # p = 131947 is prime and q = 3 * 21991: q is screened beside p.
+        assert not nt.is_safe_prime(131947)
+
+    def test_is_safe_prime_on_64_bit_candidates_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         p = 9_223_372_036_854_778_487  # the smallest safe prime above 2**63
-        candidates = list(range(p - 300, p + 301, 2))
-        root = str(Path(nt.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-I", "-c",
-             "import sys; sys.path.insert(0, sys.argv[1]); "
-             "from genlearn import numtheory as nt; "
-             "print(nt._PRIME_BLOCKS == (), "
-             "[nt.is_safe_prime(int(c)) for c in sys.argv[2:]], len(nt._PRIME_BLOCKS) > 0)",
-             root, *map(str, candidates)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        candidates = range(p - 300, p + 301, 2)
         want = [sympy.isprime(c) and sympy.isprime((c - 1) // 2) for c in candidates]
         assert want[150]
-        assert proc.stdout.strip() == f"True {want} True"
+        assert [nt.is_safe_prime(c) for c in candidates] == want
 
     def test_is_safe_prime_matches_sympy_below_2_18(self):
         # Covers the switch at q = 2**16 from sieve lookups to the p * q screen.
