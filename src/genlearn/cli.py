@@ -155,7 +155,7 @@ def cmd_game(args) -> int:
 
 def _suite_numtheory() -> list[tuple[str, bool]]:
     ok_bij = ok_inv = ok_gen = ok_enum = ok_euler = True
-    for p in nt.safe_primes_below(1 << 12, odd_q_only=True):
+    for p in nt.safe_primes_below(1 << 12):
         q = (p - 1) // 2
         residues = nt.qr_set(p)
         folded = {x: nt.f_p(p, x) for x in residues}
@@ -278,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats: bool = True):
+    def seeded(p):  # the commands that draw randomness; `learn` draws none
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+
+    def common(p, formats: bool = True):
         p.add_argument("--out", help="write output to this file instead of stdout")
         if formats:
             p.add_argument("--format", choices=("json", "text"), default="json")
@@ -288,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="bit length of the safe prime")
     p.add_argument("--keep-secret", action="store_true",
                    help="retain the exponent a in the output (test mode)")
+    seeded(p)
     common(p)
     p.set_defaults(func=cmd_instance)
 
@@ -295,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--key", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
+    seeded(p)
     common(p, formats=False)  # sample output is the fixed line format
     p.set_defaults(func=cmd_sample)
 
@@ -315,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="keylearner")
     p.add_argument("--strategy", choices=("keylearner", "random"), default="keylearner")
     p.add_argument("--learner", choices=("exact", "uniform"), default="exact")
+    seeded(p)
     common(p)
     p.set_defaults(func=cmd_game)
 

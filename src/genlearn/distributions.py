@@ -259,14 +259,14 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         return DistTable(self.n_bits, {b: float(v) for b, v in self.probs.items()})
 
 
-def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
+def exact_table(spec: GeneratorSpec) -> DistTable:
     """The exact induced table of a generator, by full seed enumeration.
 
     Entries keep the seed order of their first occurrence; all entries
     with the same count share one ``Fraction``.  When the 2^m outputs are
     distinct (every keyed spec: x is their prefix), the table is one
     ``dict.fromkeys`` of the enumeration; otherwise a second enumeration
-    counts them.  ``exact=False`` returns the same table ``to_float()``.
+    counts them.
     """
     from fractions import Fraction
     size = 1 << spec.seed_bits
@@ -278,8 +278,7 @@ def exact_table(spec: GeneratorSpec, exact: bool = True) -> DistTable:
         probs = {c: Fraction(c, size) for c in set(counts.values())}
         for y, c in counts.items():
             counts[y] = probs[c]
-    table = DistTable(spec.out_bits, counts)
-    return table if exact else table.to_float()
+    return DistTable(spec.out_bits, counts)
 
 
 def kl_divergence(p: DistTable, q: DistTable) -> float:

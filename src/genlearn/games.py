@@ -348,8 +348,13 @@ class RandomGuessStrategy:
 
 def exact_generator_learner(oracle, n: int, epsilon, delta, rng):
     """Generator learner backed by one-sample exact key recovery (needs
-    parameter-suffix samples)."""
-    return pac_generator_learn(oracle, epsilon, delta).spec
+    parameter-suffix samples).
+
+    Takes the reduction's learner interface and ignores ``epsilon`` and
+    ``delta``: one sample recovers the generator exactly, which meets any
+    accuracy and confidence target.
+    """
+    return pac_generator_learn(oracle).spec
 
 
 def uniform_distribution_learner(oracle, n: int, epsilon, delta, rng) -> GeneratorSpec:
@@ -401,7 +406,7 @@ class _Reduction:
         return guess
 
 
-def learner_to_inference(dist_learner, form: str = "gen") -> _Reduction:
+def learner_to_inference(dist_learner, form: str) -> _Reduction:
     """Wrap a generator learner as an inference strategy.
 
     Per trial: hand the learner a ``SampleOracle`` whose generator draws x

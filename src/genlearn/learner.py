@@ -53,16 +53,13 @@ class LearnedGenerator(NamedTuple):
         return out
 
 
-def learn_key(inst: GroupInstance, x: str, fx: int, engine: str = "bsgs") -> int:
+def learn_key(inst: GroupInstance, x: str, fx: int) -> int:
     """Invert F(., x) at the observed output fx; returns the unique key.
 
     Exactly inverts the forward walk for genuine outputs; corrupted inputs
     surface as range errors.
     ``inst`` is trusted to be validated, so g and g_a generate QR_p.
-    ``engine`` names the discrete-log algorithm; "bsgs" is the only one.
     """
-    if engine != "bsgs":
-        raise ValueError(f"unknown discrete log engine {engine!r}")
     check_bits(x, inst.n)
     if not 1 <= fx <= inst.q:
         raise ValueError(f"function value {fx} outside canonical range 1..{inst.q}")
@@ -108,18 +105,14 @@ def learn_from_sample(sample: str) -> LearnedGenerator:
     return LearnedGenerator(inst=inst, key=key, spec=gen_spec(inst, key))
 
 
-def pac_generator_learn(
-    oracle: SampleOracle, epsilon: float | None = None, delta: float | None = None
-) -> LearnedGenerator:
+def pac_generator_learn(oracle: SampleOracle) -> LearnedGenerator:
     """Learn the exact generator behind a SAMPLE handle from one draw.
 
-    ``epsilon`` and ``delta`` are accepted for interface fidelity with the
-    usual (eps, delta) learner contract and deliberately ignored: the
-    returned generator is exact (zero divergence to the target), which is
-    stronger than any (eps, delta) guarantee.  Sample complexity is
+    The returned generator is exact (zero divergence to the target) from
+    one sample, whatever accuracy epsilon and confidence delta a PAC
+    learner would be asked for, so it takes neither.  Sample complexity is
     recorded on the result and is always 1.
     """
-    del epsilon, delta
     before = oracle.count
     sample = oracle.sample()
     learned = learn_from_sample(sample)

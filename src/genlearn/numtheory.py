@@ -27,6 +27,7 @@ import random
 from typing import NamedTuple
 
 __all__ = [
+    "MAX_ATTEMPTS",
     "SearchBudgetError",
     "GroupInstance",
     "is_prime",
@@ -138,11 +139,10 @@ def is_safe_prime(p: int) -> bool:
     )
 
 
-def safe_primes_below(limit: int, odd_q_only: bool = False) -> list[int]:
-    """All safe primes below ``limit``, ascending; with ``odd_q_only``, only
-    those usable as group instances (q odd)."""
-    start = 7 if odd_q_only else 5
-    return [p for p in range(start, limit, 2) if is_safe_prime(p)]
+def safe_primes_below(limit: int) -> list[int]:
+    """The usable safe primes (q odd) below ``limit``, ascending: every safe
+    prime except 5, the one with q even."""
+    return [p for p in range(7, limit, 2) if is_safe_prime(p)]
 
 
 def canonical_exponent(e: int, q: int) -> int:
@@ -318,6 +318,12 @@ def validate_instance(
     return GroupInstance(n=n, p=p, q=q, g=g, g_a=g_a, a_secret=a_secret)
 
 
+# Candidates ``generate_instance`` draws before it raises SearchBudgetError.
+# An odd n-bit candidate is a usable safe prime with probability of order
+# 1/n**2, so searches at the sizes in use end long before the budget.
+MAX_ATTEMPTS = 200_000
+
+
 class SearchBudgetError(ValueError):
     """No safe prime found within the rejection-sampling budget.
 
@@ -325,30 +331,27 @@ class SearchBudgetError(ValueError):
     it as a usage error (exit 2), not as a crash or a failed check."""
 
 
-def generate_instance(
-    n: int,
-    rng: random.Random,
-    keep_secret: bool = False,
-    max_attempts: int = 200_000,
-) -> GroupInstance:
+def generate_instance(n: int, rng: random.Random, keep_secret: bool = False) -> GroupInstance:
     """Sample an n-bit group instance: safe prime, generator, and g^a.
 
     Candidates are uniform odd n-bit integers with the top bit set; the
-    first usable safe prime (q odd) is taken.  The generator comes from
-    squaring a uniform element of {2, ..., p - 2} and rejecting 1.  The
-    exponent a is uniform over {1, ..., q - 1}: a = q (i.e. 0 mod q) would
-    give g_a = 1, leaving dlog base g_a undefined.
+    first usable safe prime (q odd) is taken, and ``SearchBudgetError``
+    is raised when none of ``MAX_ATTEMPTS`` candidates is one.  The
+    generator comes from squaring a uniform element of {2, ..., p - 2}
+    and rejecting 1.  The exponent a is uniform over {1, ..., q - 1}:
+    a = q (i.e. 0 mod q) would give g_a = 1, leaving dlog base g_a
+    undefined.
     """
     if n < 3:
         raise ValueError(f"n = {n} too small: the smallest usable safe prime, 7, needs 3 bits")
     p = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         cand = (1 << (n - 1)) | rng.getrandbits(n - 1) | 1
         if cand % 4 == 3 and is_safe_prime(cand):
             p = cand
             break
     if p is None:
-        raise SearchBudgetError(f"no {n}-bit safe prime found in {max_attempts} attempts")
+        raise SearchBudgetError(f"no {n}-bit safe prime found in {MAX_ATTEMPTS} attempts")
     q = (p - 1) // 2
     while True:
         g = pow(rng.randrange(2, p - 1), 2, p)

@@ -28,7 +28,7 @@ except ImportError:
 __all__ = ["subseed", "make_rng"]
 
 
-def subseed(master: int, label: str, index: int = 0) -> int:
+def subseed(master: int, label: str, index: int) -> int:
     """Derive a 64-bit child seed from (master seed, task label, index)."""
     digest = sha256(f"{master}:{label}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

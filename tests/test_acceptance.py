@@ -34,7 +34,7 @@ def test_criterion_01_key_learner_exactness():
                 key = rng.randint(1, inst.q)
                 x = format(rng.getrandbits(n), f"0{n}b")
                 fx = prf_eval(inst, key, x)
-                assert learn_key(inst, x, fx, engine="bsgs") == key, (n, inst.p, key, x)
+                assert learn_key(inst, x, fx) == key, (n, inst.p, key, x)
                 triples += 1
     elapsed = time.monotonic() - t0
     assert triples == 500 * 14
@@ -60,7 +60,7 @@ def test_criterion_02_one_sample_pac_learning():
 
 
 def test_criterion_03_fp_bijection_and_group_facts():
-    primes = nt.safe_primes_below(1 << 12, odd_q_only=True)
+    primes = nt.safe_primes_below(1 << 12)
     assert primes[0] == 7 and len(primes) > 50
     for p in primes:
         q = (p - 1) // 2
@@ -99,7 +99,7 @@ def test_criterion_04_kgen_distribution_shape():
     for n in range(3, 11):
         inst = nt.generate_instance(n, make_rng(4000 + n, "inst"))
         key = make_rng(4000 + n, "key").randint(1, inst.q)
-        table = dist.exact_table(dist.kgen_spec(inst, key), exact=True)
+        table = dist.exact_table(dist.kgen_spec(inst, key))
         assert table.is_exact()
         unit = Fraction(1, 1 << n)
         assert len(table.probs) == 1 << n
@@ -144,7 +144,7 @@ def test_criterion_06_short_generator_error_floor():
             for table in tables:
                 c = bf.BoolFn(n, table)
                 achieved = dist.tv_distance(
-                    dist.exact_table(bf.optimal_short_generator(c, m), exact=True),
+                    dist.exact_table(bf.optimal_short_generator(c, m)),
                     bf.function_table(c),
                 )
                 assert achieved == want, (n, m, table)
@@ -157,7 +157,7 @@ def test_criterion_06_short_generator_error_floor():
         tvs = [
             dist.tv_distance(
                 dist.exact_table(
-                    dist.GeneratorSpec(1, 3, lambda s, o=combo: o[int(s, 2)]), exact=True
+                    dist.GeneratorSpec(1, 3, lambda s, o=combo: o[int(s, 2)])
                 ),
                 target,
             )

@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -214,6 +213,13 @@ class TestLearnCommand:
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    def test_seed_option_is_gone(self, capsys):
+        # Learning draws no randomness, so `learn` takes no seed.
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--samples", "samples.txt", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestGameCommand:
     def test_distinguish_reports_json(self, capsys):
@@ -310,9 +316,7 @@ class TestSearchBudget:
     ])
     def test_exhausted_search_is_usage_error(self, argv, monkeypatch, capsys):
         # One candidate per search: both commands run out of attempts.
-        one_attempt = functools.partial(numtheory.generate_instance, max_attempts=1)
-        monkeypatch.setattr(numtheory, "generate_instance", one_attempt)
-        monkeypatch.setattr(games, "generate_instance", one_attempt)
+        monkeypatch.setattr(numtheory, "MAX_ATTEMPTS", 1)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: no ") and "safe prime" in err
@@ -567,6 +571,8 @@ class TestEntryPoint:
             )
             assert proc.returncode == 0
             assert "--" in proc.stdout
+            # Only the commands that draw randomness take a seed.
+            assert ("--seed SEED" in proc.stdout) == (cmd in ("instance", "sample", "game"))
 
     def test_import_leaves_openssl_unloaded(self, cli_env):
         # Subseeds use the interpreter's built-in SHA-256; importing hashlib

@@ -302,14 +302,19 @@ class TestInferenceGame:
             games.run_inference_game(games.RandomGuessStrategy(), 4, 0, seed=0)
 
 
-class TestExactExpectations:
-    # At n = 4 the only usable safe prime is p = 11 (13 is not safe), so
-    # q = 5 in every trial.  The key learner is always right, so it fails
+class _ExactExpectations:
+    # At each size tested below, only one usable safe prime p = 2q + 1 has
+    # n bits, so q is the same in every trial.  The key learner is always right, so it fails
     # only when the decoy equals the true value (probability 1/q) and the
     # shuffled pair is then a coin toss: infer passes at 1 - 1/(2q).  In the
     # distinguisher it always accepts the keyed arm, and accepts a random
     # function when an independent uniform value hits its prediction: 1/q.
-    n, q, seeds, trials = 4, 5, 200, 40
+    n: int
+    q: int
+    seeds, trials = 200, 40
+
+    def primes_drawn(self):
+        return {generate_instance(self.n, make_rng(s, "instance", 0)).p for s in range(200)}
 
     def check(self, rates, halfwidths, want, variance):
         # The printed 99% Hoeffding intervals cover ``want`` at least at their
@@ -317,9 +322,6 @@ class TestExactExpectations:
         assert sum(abs(r - want) <= h for r, h in zip(rates, halfwidths)) >= 0.99 * self.seeds
         se = math.sqrt(variance / (self.seeds * self.trials))
         assert abs(sum(rates) / self.seeds - want) <= 4 * se
-
-    def test_only_instance_is_p11(self):
-        assert {generate_instance(4, make_rng(s, "instance", 0)).p for s in range(200)} == {11}
 
     def test_key_learner_infer(self):
         results = [games.run_inference_game(games.KeyLearnerStrategy(), self.n, self.trials, s)
@@ -349,21 +351,37 @@ class TestExactExpectations:
         advantages = [r.advantage for r in results]
         self.check(advantages, [r.ci_halfwidth for r in results], 0.0, 0.5)
 
-    @pytest.mark.parametrize("strategy, want", [
-        (games.RandomGuessStrategy, 1 / 2),
-        (lambda: games.learner_to_inference(games.uniform_distribution_learner, "kgen"), 1 / 2),
+    @pytest.mark.parametrize("strategy, expected", [
+        (games.RandomGuessStrategy, lambda n, q: 1 / 2),
+        (lambda: games.learner_to_inference(games.uniform_distribution_learner, "kgen"),
+         lambda n, q: 1 / 2),
         # The learner's exam repeats its one sampled x with probability
         # 1/2^n and then falls back to a coin flip; otherwise it passes as
         # the key learner does.  Enumerating every instance, key, sample,
         # draw, decoy, shuffle and coin at n = 4 gives the same 7/8.
         (lambda: games.learner_to_inference(games.exact_generator_learner, "gen"),
-         15 / 16 * (1 - 1 / (2 * q)) + 1 / 16 * 1 / 2),
+         lambda n, q: (1 - 2**-n) * (1 - 1 / (2 * q)) + 2**-n / 2),
     ], ids=["infer-random", "reduction-uniform", "reduction-exact"])
-    def test_inference_expectation(self, strategy, want):
+    def test_inference_expectation(self, strategy, expected):
         results = [games.run_inference_game(strategy(), self.n, self.trials, s)
                    for s in range(self.seeds)]
+        want = expected(self.n, self.q)
         rates = [r.pass_rate for r in results]
         self.check(rates, [r.ci_halfwidth for r in results], want, want * (1 - want))
+
+
+class TestExactExpectations(_ExactExpectations):
+    n, q = 4, 5
+
+    def test_only_instance_is_p11(self):
+        assert self.primes_drawn() == {11}  # 13 is not safe
+
+
+class TestExactExpectationsAtN5(_ExactExpectations):
+    n, q = 5, 11
+
+    def test_only_instance_is_p23(self):
+        assert self.primes_drawn() == {23}  # 2q + 1 for q = 13 is 27
 
 
 class TestLearnerInferenceReduction:

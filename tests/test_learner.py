@@ -1,6 +1,5 @@
 import random
 import weakref
-from functools import partial
 
 import pytest
 
@@ -40,15 +39,11 @@ class TestLearnKey:
                 x = dist.bin_n(v, 3)
                 assert learn_key(inst7, x, prf_eval(inst7, key, x)) == key
 
-    @pytest.mark.parametrize("engine", ["brute", "bsgs"])
+    @pytest.mark.parametrize("recover", [brute_learn_key, learn_key], ids=["brute", "bsgs"])
     @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_exact_on_random_instances(self, n, engine):
-        # "brute" is the reference reversal above, checked against the known
-        # keys before other tests trust it; "bsgs" is ``learn_key``'s one engine.
-        if engine == "brute":
-            recover = brute_learn_key
-        else:
-            recover = partial(learn_key, engine=engine)
+    def test_exact_on_random_instances(self, n, recover):
+        # ``brute_learn_key`` is the reference reversal above, checked against
+        # the known keys before other tests trust it.
         for seed in range(5):
             inst = generate_instance(n, make_rng(seed, f"lk{n}"))
             rng = random.Random(seed)
@@ -110,10 +105,6 @@ class TestLearnKey:
             n = inst.n
             assert learn_from_sample(sample).key == key
             assert brute_learn_key(inst, sample[:n], int(sample[n : 2 * n], 2)) == key
-
-    def test_unknown_engine(self, inst7):
-        with pytest.raises(ValueError, match="engine"):
-            learn_key(inst7, "000", 1, engine="magic")
 
     def test_value_range_checked(self, inst7):
         with pytest.raises(ValueError):
@@ -191,7 +182,7 @@ class TestPacGeneratorLearn:
 
     def test_sample_complexity_is_one(self, inst7):
         oracle = dist.SampleOracle(dist.gen_spec(inst7, 3), random.Random(0))
-        learned = pac_generator_learn(oracle, epsilon=0.25, delta=0.01)
+        learned = pac_generator_learn(oracle)
         assert learned.samples_used == 1
         assert oracle.count == 1
 
@@ -206,15 +197,6 @@ class TestPacGeneratorLearn:
             if learned.key == key and learned.inst == inst:
                 exact += 1
         assert exact == 100
-
-    def test_epsilon_delta_ignored_but_accepted(self, inst7):
-        oracle = dist.SampleOracle(dist.gen_spec(inst7, 2), random.Random(2))
-        for eps, delta in ((0.5, 0.5), (1e-9, 1e-9)):
-            learned = pac_generator_learn(
-                dist.SampleOracle(dist.gen_spec(inst7, 2), random.Random(2)), eps, delta
-            )
-            assert learned.key == 2
-        assert oracle.count == 0  # the original oracle was never consumed
 
     def test_parse_errors_propagate(self):
         bad_spec = dist.GeneratorSpec(seed_bits=3, out_bits=15, eval_fn=lambda s: "0" * 15)

@@ -159,8 +159,8 @@ class TestPrimality:
             for p in range(2, 300)
             if trial_division_prime(p) and trial_division_prime((p - 1) // 2) and p % 2
         ]
-        assert nt.safe_primes_below(300) == oracle
-        assert nt.safe_primes_below(300, odd_q_only=True) == [p for p in oracle if p != 5]
+        assert nt.safe_primes_below(300) == [p for p in oracle if p != 5]
+        assert nt.is_safe_prime(5)  # safe, but not usable: q = 2 is even
 
 
 class TestInstanceGeneration:
@@ -195,9 +195,10 @@ class TestInstanceGeneration:
         with pytest.raises(ValueError):
             nt.generate_instance(2, make_rng(0, "t"))
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(nt.SearchBudgetError):
-            nt.generate_instance(9, make_rng(0, "t"), max_attempts=1)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(nt, "MAX_ATTEMPTS", 1)
+        with pytest.raises(nt.SearchBudgetError, match="^no 9-bit safe prime found in 1 attempts$"):
+            nt.generate_instance(9, make_rng(0, "t"))
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
     def test_generated_invariants(self, n):
@@ -251,7 +252,7 @@ class TestResidues:
             nt.is_qr(7, 7)
 
     def test_is_qr_matches_brute_force(self):
-        for p in nt.safe_primes_below(1 << 8):
+        for p in [5, *nt.safe_primes_below(1 << 8)]:
             squares = nt.qr_set(p)
             assert {x for x in range(1, p) if nt.is_qr(p, x)} == squares
 
@@ -293,7 +294,7 @@ class TestFoldMap:
 
 
 class TestDiscreteLog:
-    def test_examples_both_engines(self):
+    def test_examples_table_and_brute_walk(self):
         # The table-backed log and the reference walk.
         for log in (nt.discrete_log, brute_log):
             assert log(7, 2, 4) == 2
@@ -332,7 +333,7 @@ class TestDiscreteLog:
         p=st.sampled_from(SMALL_SAFE_PRIMES),
         data=st.data(),
     )
-    def test_engines_agree(self, p, data):
+    def test_table_log_matches_brute_walk(self, p, data):
         residues = sorted(nt.qr_set(p))
         g = data.draw(st.sampled_from([x for x in residues if x != 1]))
         y = data.draw(st.sampled_from(residues))
@@ -404,7 +405,7 @@ def assert_fills_its_dict(table):
 
 
 class TestDlogTable:
-    @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
+    @pytest.mark.parametrize("p", [5, *nt.safe_primes_below(1 << 10)])
     def test_matches_brute_walk(self, p):
         # Every generator of QR_p and every residue.  The reference is the
         # walk g, g**2, ..., g**q, run once per generator: calling
@@ -427,7 +428,7 @@ class TestDlogTable:
         # (q - 1) // m == ceil(q / m) - 1: the log q - 1 is found only on
         # the last giant step ``log`` takes.
         reached = 0
-        for p in nt.safe_primes_below(1 << 10):
+        for p in [5, *nt.safe_primes_below(1 << 10)]:
             q = (p - 1) // 2
             table = nt.DlogTable(p, 4)
             if (q - 1) // table.m == -(-q // table.m) - 1:
@@ -500,7 +501,7 @@ def pow_rows(p, base, e_bits):
 class TestPowTable:
     """``prf._pow_rows``, the walker's fixed-base power rows, read as it reads them."""
 
-    @pytest.mark.parametrize("p", nt.safe_primes_below(1 << 10))
+    @pytest.mark.parametrize("p", [5, *nt.safe_primes_below(1 << 10)])
     def test_matches_pow_exhaustive(self, p):
         q = (p - 1) // 2
         for base in (2, 3, 4, p - 2, p - 1):

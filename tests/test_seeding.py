@@ -7,7 +7,7 @@ class TestGoldenSeeds:
     # Values pinned from the hashlib-based derivation: the seed -> subseed
     # mapping, and with it every seeded CLI output, must never move.
     def test_subseed_values(self):
-        assert subseed(0, "instance") == 5240165362540035662
+        assert subseed(0, "instance", 0) == 5240165362540035662
         assert subseed(7, "sample", 3) == 16583002912238391139
         assert subseed(2**64 - 1, "verify-key", 12) == 17440490972169484946
         assert subseed(1, "trial", 999) == 7541081778957492851
