@@ -21,8 +21,8 @@ powers one of three ways, by how often a base recurs:
   instance checks.
 * byte rows (``_pow_rows``) in ``KeyedWalker``, for one (instance, key)
   walked many times at random inputs, as ``kgen_spec`` and ``gen_spec``
-  are by ``sample``: at n = 64 a row power costs about 1.7-2.1 us against
-  17-19 us for ``pow``.
+  are by ``sample``: at n = 64 a row power costs about 1.0 us against
+  13-14 us for ``pow`` (3.11.7).
 * fold rows in ``distributions._tree_outputs``, for exact tables, which
   walk no seed: 2q multiplications where walking each seed takes n * 2^n
   powers.
@@ -34,8 +34,6 @@ owner; everything else here is pure.
 from __future__ import annotations
 
 import random
-from math import prod
-from operator import getitem
 from typing import Callable
 
 from .numtheory import GroupInstance
@@ -94,9 +92,10 @@ def prf_eval(inst: GroupInstance, key: int, x: str) -> int:
     return ggm_walk(inst, key, x)
 
 
-# One pow walk against two row builds plus one row walk (3.11.7): 4 vs 30 us
-# at n = 8, 0.7 vs 0.63 ms at n = 56, 1.0 vs 0.97 ms at n = 64.  So specs
-# walked once (the games at n = 8, key recovery up to n = 40) keep builtin pow.
+# One pow walk against two row builds, the product's compile and one row walk
+# (3.11.7): 4 vs 48 us at n = 8, 0.46 vs 0.59 ms at n = 48, 0.66 vs 0.73 ms at
+# n = 56, 1.03 vs 1.02 ms at n = 64.  So specs walked once (the games at n = 8,
+# key recovery up to n = 40) keep builtin pow.
 _TABLES_FIRST_N = 64
 
 
@@ -119,6 +118,19 @@ def _pow_rows(p: int, base: int, width: int) -> list[list[int]]:
     return rows
 
 
+def _row_product(width: int) -> Callable[[list[list[int]], bytes], int]:
+    """``lambda r, e: r[0][e[0]] * ... * r[width - 1][e[width - 1]]``, compiled.
+
+    Given ``width`` rows of ``_pow_rows`` and the little-endian bytes of an
+    exponent, it multiplies the row entries the bytes pick, with no C call
+    per byte; the caller reduces once mod p.  The source holds integer
+    indices only and compiles without builtins, as ``collections.namedtuple``
+    compiles its ``__new__``.
+    """
+    terms = " * ".join(f"r[{k}][e[{k}]]" for k in range(width))
+    return eval(f"lambda r, e: {terms}", {"__builtins__": {}})
+
+
 class KeyedWalker:
     """F(key, x) for one (instance, key), for callers that walk it many times.
 
@@ -126,7 +138,8 @@ class KeyedWalker:
     string, as ``DlogTable.log`` trusts its residues: callers check it
     where it enters, as ``GeneratorSpec.eval`` does every keyed spec's seed.
     Row walks take each level's power from the ``_pow_rows`` of g or of
-    g_a, held in ``tables``.  They are built by the first walk from n =
+    g_a through one ``_row_product`` of their width, the three held in
+    ``tables``.  They are built together by the first walk from n =
     ``_TABLES_FIRST_N`` on; below it the first walk is ``prf_eval`` and the
     second builds them.
     """
@@ -137,7 +150,7 @@ class KeyedWalker:
         self.inst = inst
         self.key = key
         self.walks = 0
-        self.tables: tuple[list[list[int]], list[list[int]]] | None = None
+        self.tables: tuple[list[list[int]], list[list[int]], Callable[..., int]] | None = None
 
     def __call__(self, x: str) -> int:
         inst = self.inst
@@ -146,17 +159,17 @@ class KeyedWalker:
             return prf_eval(inst, self.key, x)
         if self.tables is None:
             width = -(-inst.q.bit_length() // 8)
-            self.tables = (_pow_rows(inst.p, inst.g, width), _pow_rows(inst.p, inst.g_a, width))
+            self.tables = (_pow_rows(inst.p, inst.g, width), _pow_rows(inst.p, inst.g_a, width),
+                           _row_product(width))
         p, q = inst.p, inst.q
-        rows_g, rows_g_a = self.tables
+        rows_g, rows_g_a, power = self.tables
         width = len(rows_g)
         b = self.key
-        # The row power is written out here, and y <= q folds as
-        # min(y, p - y) without the call: 50 walks at n = 64 cost 0.78 of the
-        # per-row kernel's time through a power method, 0.65 as here.
+        # One call of the compiled product per level, and y <= q folds as
+        # min(y, p - y) without calling min: 50 walks at n = 64 cost 0.81 of
+        # the time that ``math.prod`` over ``operator.getitem`` took (3.11.7).
         for ch in x:
-            rows = rows_g if ch == "0" else rows_g_a
-            y = prod(map(getitem, rows, b.to_bytes(width, "little"))) % p
+            y = power(rows_g if ch == "0" else rows_g_a, b.to_bytes(width, "little")) % p
             b = y if y <= q else p - y
         return b
 

@@ -110,11 +110,19 @@ class TestKeyedFunction:
         assert differing / trials > 0.99
 
 
+# The walker's row width is the byte count of q, which has n - 1 bits.
+WIDTHS = {3: 1, 6: 1, 16: 2, 24: 3, 32: 4, 40: 5, 48: 6, 56: 7, 63: 8, 64: 8, 65: 8, 72: 9, 128: 16}
+
+# What one table build makes: the rows of g and of g_a, then their product.
+ONE_BUILD = ["_pow_rows", "_pow_rows", "_row_product"]
+
+
 class TestKeyedWalker:
-    @pytest.mark.parametrize("n", [3, 6, 16, 32, 63, 64, 65, 128])
+    @pytest.mark.parametrize("n", sorted(WIDTHS))
     def test_every_walk_matches_prf_eval(self, n):
         # Below n = 64 walk 1 is prf_eval itself and walk 2 builds the
-        # tables; from n = 64 on walk 1 builds them.  Every later walk uses them.
+        # tables; from n = 64 on walk 1 builds them.  Every later walk uses
+        # them, through the row product of width WIDTHS[n].
         for seed in range(3):
             inst = generate_instance(n, make_rng(seed, "keyed-walker"))
             rng = random.Random(seed)
@@ -126,19 +134,41 @@ class TestKeyedWalker:
                     if i == 0:
                         assert (walk.tables is not None) == (n >= 64)
                 assert walk.walks == 50 and walk.tables is not None
+                assert [len(rows) for rows in walk.tables[:2]] == [WIDTHS[n]] * 2
 
     @pytest.fixture
     def built(self, monkeypatch) -> list:
-        # The arguments of every ``prf._pow_rows`` call: one per row build.
+        # (helper, arguments) of every ``prf._pow_rows`` and
+        # ``prf._row_product`` call: one per row build or product compile.
         built = []
-        pow_rows = prf._pow_rows
+        for name in ("_pow_rows", "_row_product"):
 
-        def counting_rows(*args):
-            built.append(args)
-            return pow_rows(*args)
+            def counting(*args, name=name, helper=getattr(prf, name)):
+                built.append((name, args))
+                return helper(*args)
 
-        monkeypatch.setattr(prf, "_pow_rows", counting_rows)
+            monkeypatch.setattr(prf, name, counting)
         return built
+
+    @pytest.mark.parametrize("n", [6, 64])
+    def test_one_product_per_walker_with_its_rows(self, n, built):
+        # The walk that builds a walker's rows compiles one product of their
+        # width with them, and no later walk builds either again.
+        inst = generate_instance(n, make_rng(n, "one-product"))
+        width = WIDTHS[n]
+        first = 1 if n < 64 else 0  # the index of the building walk
+        rng = random.Random(n)
+        for key in (1, inst.q):
+            walk = prf.KeyedWalker(inst, key)
+            for i in range(5):
+                x = format(rng.getrandbits(n), f"0{n}b")
+                assert walk(x) == prf.prf_eval(inst, key, x)
+                assert built == ([] if i < first else [
+                    ("_pow_rows", (inst.p, inst.g, width)),
+                    ("_pow_rows", (inst.p, inst.g_a, width)),
+                    ("_row_product", (width,)),
+                ]), i
+            built.clear()
 
     def test_inputs_checked_on_every_walk(self, inst7, built):
         # The walker trusts its n-bit inputs: each keyed spec's ``eval``
@@ -152,7 +182,8 @@ class TestKeyedWalker:
                         spec.eval(bad)
                 assert built == []
                 assert spec.eval("101")[:6] == "101001"  # F(2, "101") = 1
-            assert len(built) == 2  # the second walk built the rows of g and g_a
+            # the second walk built the rows of g and g_a and their product
+            assert [name for name, _ in built] == ONE_BUILD
             built.clear()
 
     def test_key_checked_at_construction(self):
@@ -168,7 +199,8 @@ class TestKeyedWalker:
 
     def test_first_table_walk_checks_input(self, built):
         # At n = 64 the first walk builds rows instead of calling prf_eval;
-        # each spec refuses what prf_eval refuses and builds nothing then.
+        # each spec refuses what prf_eval refuses and then builds neither the
+        # rows nor their product.
         inst = generate_instance(64, make_rng(64, "first-walk"))
         good = "01" * 32
         for make in (kgen_spec, gen_spec):
@@ -181,7 +213,7 @@ class TestKeyedWalker:
                         spec.eval(x)
             assert built == []
             assert spec.eval(good)[64:128] == format(prf.prf_eval(inst, 5, good), "064b")
-            assert len(built) == 2
+            assert [name for name, _ in built] == ONE_BUILD
             built.clear()
 
 
