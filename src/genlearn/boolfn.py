@@ -75,11 +75,11 @@ def function_table(c: BoolFn) -> DistTable:
 
 def disagreement_prob(h: BoolFn, c: BoolFn) -> Fraction:
     """Pr over uniform inputs that h and c differ, as an exact fraction."""
-    from fractions import Fraction
+    import fractions
     if h.n != c.n:
         raise ValueError("function arities differ")
     hamming = sum(a != b for a, b in zip(h.table, c.table))
-    return Fraction(hamming, 1 << h.n)
+    return fractions.Fraction(hamming, 1 << h.n)
 
 
 def padded_generator(c: BoolFn, m: int) -> GeneratorSpec:

@@ -183,13 +183,13 @@ def _suite_numtheory() -> list[tuple[str, bool]]:
 
 
 def _suite_kgen() -> list[tuple[str, bool]]:
-    from fractions import Fraction
+    import fractions
     checks = []
     for n in range(3, 9):
         inst = nt.generate_instance(n, make_rng(20_000 + n, "verify-instance"))
         key = make_rng(20_000 + n, "verify-key").randint(1, inst.q)
         table = exact_table(kgen_spec(inst, key))
-        want = Fraction(1, 1 << n)
+        want = fractions.Fraction(1, 1 << n)
         support_ok = set(table.probs) == {
             kgen_eval(inst, key, format(v, f"0{n}b")) for v in range(1 << n)
         }
@@ -199,7 +199,7 @@ def _suite_kgen() -> list[tuple[str, bool]]:
 
 
 def _suite_boollemmas() -> list[tuple[str, bool]]:
-    from fractions import Fraction
+    import fractions
     checks = []
     # Disagreement identity, all 256 ordered pairs at n = 2.
     fns = [bf.BoolFn(2, format(v, "04b")) for v in range(16)]
@@ -215,7 +215,7 @@ def _suite_boollemmas() -> list[tuple[str, bool]]:
                 exact_table(bf.optimal_short_generator(c, m)),
                 bf.function_table(c),
             )
-            ok &= achieved == 1 - Fraction(1, 1 << (n - m))
+            ok &= achieved == 1 - fractions.Fraction(1, 1 << (n - m))
     checks.append(("short_generator_tv_floor", ok))
     ok = True
     outputs = ["".join(bits) for bits in itertools.product("01", repeat=3)]
@@ -229,7 +229,7 @@ def _suite_boollemmas() -> list[tuple[str, bool]]:
             )
             for combo in itertools.product(outputs, repeat=2)
         )
-        ok &= best == Fraction(1, 2)
+        ok &= best == fractions.Fraction(1, 2)
     checks.append(("exhaustive_min_tv_n2_m1_is_half", ok))
     # Exact-generator characterization at the enumerable sizes.
     ok = True

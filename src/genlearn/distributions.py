@@ -113,8 +113,9 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
     ``y if y <= q else p - y`` folds them), looked up in two rows of one
     multiplication per entry.  Level j lists the j-bit prefixes in order,
     0-child first.  Each output is ``bin(1 << 2n | x << n | F(x))[3:] +
-    suffix``, made by C-level ``map``s as the caller draws it: no Python
-    step per leaf, and no list of all 2^n outputs.
+    suffix``, made by C-level ``map``s over the leaf level as the caller
+    draws it: no Python step per leaf, and no list of all 2^n outputs.
+    The rows go on return; the leaf level, 2^n ints, stays with the stream.
     """
     n, p, q = inst.n, inst.p, inst.q
     rows = [], []
@@ -128,10 +129,8 @@ def _tree_outputs(inst: GroupInstance, key: int, suffix: str) -> Iterable[str]:
         parents, level = level, [0] * (2 * len(level))
         level[0::2] = map(rows[0].__getitem__, parents)
         level[1::2] = map(rows[1].__getitem__, parents)
-    # One character per leaf (q < 0x110000 in budget): the rows go before the outputs stream.
-    leaves = "".join(map(chr, level))
     top = 1 << 2 * n
-    heads = map(bin, map(operator.add, range(top, 2 * top, 1 << n), map(ord, leaves)))
+    heads = map(bin, map(operator.add, range(top, 2 * top, 1 << n), level))
     return map(operator.add, map(operator.getitem, heads, repeat(slice(3, None))), repeat(suffix))
 
 
@@ -176,12 +175,15 @@ class SampleOracle:
         return self.spec.eval(random_bits(self._rng, self.spec.seed_bits))
 
 
-def _only_bits(keys) -> bool:
-    """Whether all ``keys`` (each a ``str``) hold only '0' and '1'.
+def _bit_keys(keys, n_bits: int) -> bool:
+    """Whether every key is a ``str`` of ``n_bits`` '0'/'1' characters, by C-level passes.
 
-    Chunks bound the transient to one joined chunk, never the whole table;
-    a non-ASCII character encodes as '?' and fails.
+    The bit characters are checked 256 joined keys at a time: the
+    transient is one joined chunk, never the whole table, and a non-ASCII
+    character encodes as '?' and fails.
     """
+    if not (set(map(type, keys)) <= {str} and set(map(len, keys)) <= {n_bits}):
+        return False
     it = iter(keys)
     for _ in range(0, len(keys), 256):
         if "".join(islice(it, 256)).encode("ascii", "replace").translate(None, b"01"):
@@ -194,8 +196,11 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
 
     Entries absent from ``probs`` have probability zero.  Values are
     either all ``Fraction`` (exact mode, sums checked exactly) or floats
-    (sums checked to 1e-12).  Every way of building one (the constructor,
-    ``_make``, ``_replace``) runs ``__post_init__``'s check.
+    (sums checked to 1e-12).  The public ways of building one (the
+    constructor, ``_make``, ``_replace``) run ``__post_init__``'s check of
+    keys, values and sum.  ``exact_table``, whose values are positive and
+    sum to exactly 1 by construction, builds its table without it and
+    checks only the keys, by the same passes.
     """
 
     __slots__ = ()
@@ -210,11 +215,11 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         return cls(*fields)
 
     def __post_init__(self):
-        from fractions import Fraction
+        import fractions
         probs, exact = self.probs, self.is_exact()
         values = probs.values()
         if exact:
-            # One Fraction per count in ``exact_table``: each is checked and scaled once.
+            # Entries sharing one Fraction (an exact table's, one per count) scale it once.
             distinct = dict(zip(map(id, values), values))
             den = math.lcm(*{prob.denominator for prob in distinct.values()})
             scaled = {i: prob.numerator * (den // prob.denominator) for i, prob in distinct.items()}
@@ -222,10 +227,8 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         # C-level passes decide the common case (``0 <= prob`` fails on NaN); the
         # per-entry loop runs only to raise the first bad entry's error.
         if not (
-            set(map(type, probs)) <= {str}
-            and set(map(len, probs)) <= {self.n_bits}
-            and _only_bits(probs)
-            and set(map(type, values)) <= {Fraction, float, int}
+            _bit_keys(probs, self.n_bits)
+            and set(map(type, values)) <= {fractions.Fraction, float, int}
             and all(map(operator.le, repeat(0), values))
         ):
             for bits, prob in probs.items():
@@ -237,15 +240,15 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         if exact:
             num = sum(map(scaled.__getitem__, map(id, probs.values())))
             if num != den:
-                raise ValueError(f"exact table sums to {Fraction(num, den)}, not 1")
+                raise ValueError(f"exact table sums to {fractions.Fraction(num, den)}, not 1")
         else:
             total = reduce(operator.add, probs.values(), 0)
             if abs(total - 1) > 1e-12:
                 raise ValueError(f"table sums to {total}, outside tolerance")
 
     def is_exact(self) -> bool:
-        from fractions import Fraction
-        return all(issubclass(t, Fraction) for t in set(map(type, self.probs.values())))
+        import fractions
+        return all(issubclass(t, fractions.Fraction) for t in set(map(type, self.probs.values())))
 
     def prob(self, bits: str):
         """The stored probability of ``bits``; 0 for strings absent from the table."""
@@ -266,19 +269,24 @@ def exact_table(spec: GeneratorSpec) -> DistTable:
     with the same count share one ``Fraction``.  When the 2^m outputs are
     distinct (every keyed spec: x is their prefix), the table is one
     ``dict.fromkeys`` of the enumeration; otherwise a second enumeration
-    counts them.
+    counts them.  Either way the entries sum to exactly 1, so only the
+    outputs are checked: each must be a string of ``out_bits`` bits, and
+    the first bad one is named as ``DistTable`` names it.
     """
-    from fractions import Fraction
+    import fractions
     size = 1 << spec.seed_bits
-    counts = dict.fromkeys(spec.outputs(), Fraction(1, size))
+    counts = dict.fromkeys(spec.outputs(), fractions.Fraction(1, size))
     if len(counts) != size:
         counts = {}
         for y in spec.outputs():
             counts[y] = counts.get(y, 0) + 1
-        probs = {c: Fraction(c, size) for c in set(counts.values())}
+        probs = {c: fractions.Fraction(c, size) for c in set(counts.values())}
         for y, c in counts.items():
             counts[y] = probs[c]
-    return DistTable(spec.out_bits, counts)
+    if not _bit_keys(counts, spec.out_bits):
+        for y in counts:
+            check_bits(y, spec.out_bits)
+    return tuple.__new__(DistTable, (spec.out_bits, counts))
 
 
 def kl_divergence(p: DistTable, q: DistTable) -> float:
@@ -324,11 +332,12 @@ def tv_distance(p: DistTable, q: DistTable):
     if p.n_bits != q.n_bits:
         raise ValueError(f"domain mismatch: {p.n_bits} vs {q.n_bits} bits")
     if p.is_exact() and q.is_exact():
-        from fractions import Fraction
+        import fractions
         # Summed in integers over the lcm of every denominator.
         den = math.lcm(*{prob.denominator for t in (p, q) for prob in t.probs.values()})
         a, b = ({x: v.numerator * (den // v.denominator) for x, v in t.probs.items()} for t in (p, q))
-        return Fraction(sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys()), 2 * den)
+        total = sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys())
+        return fractions.Fraction(total, 2 * den)
     total = 0
     # Sorted union keeps float summation order independent of hash seeding.
     for bits in sorted(set(p.probs) | set(q.probs)):

@@ -420,20 +420,65 @@ class TestExactTable:
         # The outputs stream into the counts, and the key check holds one
         # chunk at a time: the build's tracemalloc peak stays within 1.2x of
         # what the finished table keeps.  A lookup table of all 2^n n-bit
-        # strings read 1.53x at n = 12, one join of every key 1.89x.
-        inst = generate_instance(12, make_rng(12, "table-peak"))
-        spec = dist.gen_spec(inst, 5)
-        dist.exact_table(spec)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            table = dist.exact_table(spec)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table.probs) == 1 << 12
-        assert peak - start <= 1.2 * (kept - start)
+        # strings read 1.53x at n = 12, one join of every key 1.89x.  The
+        # leaf level, held as ints while the outputs stream, reads 1.17x at
+        # n = 12 and 1.15x at n = 16 (1.06x and 1.01x packed one character
+        # per leaf).
+        for n in (12, 16):
+            inst = generate_instance(n, make_rng(n, "table-peak"))
+            spec = dist.gen_spec(inst, 5)
+            dist.exact_table(spec)  # imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                table = dist.exact_table(spec)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(table.probs) == 1 << n
+            assert peak - start <= 1.2 * (kept - start), n
+            del table
+
+    _alphabet = [dist.bin_n(v, 3) for v in range(8)]
+    _malformed = [5, None, b"010", "01", "0101", "0x1", "0 1", "0\u00e91", "0\ud8001"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 6), data=st.data())
+    def test_key_only_build_agrees_with_the_constructor(self, m, data):
+        # ``exact_table`` skips ``__post_init__`` (its entries sum to 1 by
+        # construction) and checks only the outputs.  Distinct outputs take
+        # the ``dict.fromkeys`` path, repeated ones the counting path.
+        size = 1 << m
+        if size <= 8 and data.draw(st.booleans(), label="distinct"):
+            outs = data.draw(st.permutations(self._alphabet), label="outs")[:size]
+        else:
+            outs = data.draw(st.lists(st.sampled_from(self._alphabet), min_size=size,
+                                      max_size=size), label="outs")
+        bad = data.draw(st.none() | st.sampled_from(self._malformed), label="bad")
+        if bad is not None:
+            where = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3),
+                              label="where")
+            for i in where:
+                outs[i] = bad
+        spec = dist.GeneratorSpec(m, 3, lambda s: outs[int("0" + s, 2)])
+        calls = []
+        validate = dist.DistTable.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dist.DistTable, "__post_init__",
+                       lambda self: calls.append(self) or validate(self))
+            if bad is None:
+                table = dist.exact_table(spec)
+                assert calls == []
+                assert dist.DistTable(table.n_bits, dict(table.probs)) == table
+                assert len(calls) == 1
+                return
+            with pytest.raises(ValueError) as want:
+                dist.DistTable(3, self._counted(spec))
+            assert len(calls) == 1
+            with pytest.raises(ValueError, match="^" + re.escape(str(want.value)) + "$"):
+                dist.exact_table(spec)
+            assert len(calls) == 1
 
     def test_key_out_of_range(self, inst7):
         for make in (dist.kgen_spec, dist.gen_spec):
