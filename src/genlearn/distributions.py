@@ -17,7 +17,7 @@ import math
 import operator
 import random
 from collections import namedtuple
-from functools import partial, reduce
+from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, NamedTuple
 
@@ -178,9 +178,9 @@ class SampleOracle:
 def _bit_keys(keys, n_bits: int) -> bool:
     """Whether every key is a ``str`` of ``n_bits`` '0'/'1' characters, by C-level passes.
 
-    The bit characters are checked 256 joined keys at a time: the
-    transient is one joined chunk, never the whole table, and a non-ASCII
-    character encodes as '?' and fails.
+    ``exact_table``'s check of its outputs.  The bit characters are checked
+    256 joined keys at a time: the transient is one joined chunk, never the
+    whole table, and a non-ASCII character encodes as '?' and fails.
     """
     if not (set(map(type, keys)) <= {str} and set(map(len, keys)) <= {n_bits}):
         return False
@@ -197,10 +197,11 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
     Entries absent from ``probs`` have probability zero.  Values are
     either all ``Fraction`` (exact mode, sums checked exactly) or floats
     (sums checked to 1e-12).  The public ways of building one (the
-    constructor, ``_make``, ``_replace``) run ``__post_init__``'s check of
-    keys, values and sum.  ``exact_table``, whose values are positive and
-    sum to exactly 1 by construction, builds its table without it and
-    checks only the keys, by the same passes.
+    constructor, ``_make``, ``_replace``) run ``__post_init__``, one pass
+    over the entries in order: each key's bits, its value's sign and NaN,
+    and the sum, added left to right.  ``exact_table``, whose values are
+    positive and sum to exactly 1 by construction, builds its table
+    without it and checks only its outputs.
     """
 
     __slots__ = ()
@@ -215,36 +216,20 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
         return cls(*fields)
 
     def __post_init__(self):
-        import fractions
-        probs, exact = self.probs, self.is_exact()
-        values = probs.values()
-        if exact:
-            # Entries sharing one Fraction (an exact table's, one per count) scale it once.
-            distinct = dict(zip(map(id, values), values))
-            den = math.lcm(*{prob.denominator for prob in distinct.values()})
-            scaled = {i: prob.numerator * (den // prob.denominator) for i, prob in distinct.items()}
-            values = scaled.values()
-        # C-level passes decide the common case (``0 <= prob`` fails on NaN); the
-        # per-entry loop runs only to raise the first bad entry's error.
-        if not (
-            _bit_keys(probs, self.n_bits)
-            and set(map(type, values)) <= {fractions.Fraction, float, int}
-            and all(map(operator.le, repeat(0), values))
-        ):
-            for bits, prob in probs.items():
-                check_bits(bits, self.n_bits)
-                if prob < 0:
-                    raise ValueError(f"negative probability for {bits}")
-                if prob != prob:
-                    raise ValueError(f"probability for {bits} is NaN")
-        if exact:
-            num = sum(map(scaled.__getitem__, map(id, probs.values())))
-            if num != den:
-                raise ValueError(f"exact table sums to {fractions.Fraction(num, den)}, not 1")
-        else:
-            total = reduce(operator.add, probs.values(), 0)
-            if abs(total - 1) > 1e-12:
-                raise ValueError(f"table sums to {total}, outside tolerance")
+        total = 0
+        for bits, prob in self.probs.items():
+            check_bits(bits, self.n_bits)
+            if prob < 0:
+                raise ValueError(f"negative probability for {bits}")
+            if prob != prob:
+                raise ValueError(f"probability for {bits} is NaN")
+            # Left to right: builtin ``sum`` compensates float sums from 3.12 on.
+            total += prob
+        if self.is_exact():
+            if total != 1:
+                raise ValueError(f"exact table sums to {total}, not 1")
+        elif abs(total - 1) > 1e-12:
+            raise ValueError(f"table sums to {total}, outside tolerance")
 
     def is_exact(self) -> bool:
         import fractions
@@ -270,8 +255,9 @@ def exact_table(spec: GeneratorSpec) -> DistTable:
     distinct (every keyed spec: x is their prefix), the table is one
     ``dict.fromkeys`` of the enumeration; otherwise a second enumeration
     counts them.  Either way the entries sum to exactly 1, so only the
-    outputs are checked: each must be a string of ``out_bits`` bits, and
-    the first bad one is named as ``DistTable`` names it.
+    outputs are checked, by ``_bit_keys``' C-level passes: each must be a
+    string of ``out_bits`` bits, and ``check_bits`` names the first bad one
+    as the ``DistTable`` constructor does.
     """
     import fractions
     size = 1 << spec.seed_bits

@@ -26,8 +26,9 @@ def brute_log(p: int, g: int, y: int) -> int:
 
 
 def gen_eval(inst: GroupInstance, key: int, x: str) -> str:
-    """Reference generator output x || BIN_n(F(key, x)) || BIN_3n(params):
-    one walk from the root and one parameter encoding per call."""
+    """Generator output x || BIN_n(F(key, x)) || BIN_3n(params) by the
+    package's own ``kgen_eval`` and ``encode_params``, not an independent
+    reference: one walk from the root and one parameter encoding per call."""
     return kgen_eval(inst, key, x) + encode_params(inst)
 
 

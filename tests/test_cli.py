@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import genlearn
-from genlearn import games, numtheory
+from genlearn import distributions, games, numtheory
 from genlearn.cli import build_parser, main
 
 
@@ -383,6 +383,31 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "numerology"])
         assert exc.value.code == 2
+
+
+class TestTableConstructorOffTheExactPath:
+    def test_exact_commands_never_run_the_constructor_check(self, tmp_path, capsys, monkeypatch):
+        # ``exact_table`` builds its tables without ``DistTable.__post_init__``,
+        # so the constructor's plain per-entry pass is on none of these
+        # commands' paths.  A count above 0 means a command now builds a
+        # table through the constructor and pays for that pass.
+        calls = []
+        validate = distributions.DistTable.__post_init__
+        monkeypatch.setattr(distributions.DistTable, "__post_init__",
+                            lambda self: calls.append(self) or validate(self))
+        inst, samples = tmp_path / "inst.json", tmp_path / "samples.txt"
+        assert main(["instance", "--n", "12", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["sample", "--instance", str(inst), "--key", "5", "--count", "50",
+                     "--seed", "1", "--out", str(samples)]) == 0
+        for argv in (["learn", "--samples", str(samples), "--target-key", "5"],
+                     ["learn", "--samples", str(samples), "--target-key", "4"],
+                     ["verify", "--suite", "kgen"],
+                     ["verify", "--suite", "boollemmas"]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert calls == []
+        distributions.DistTable(1, {"0": 0.5, "1": 0.5})
+        assert len(calls) == 1  # the count sees a constructor call
 
 
 # Seeded stdout captured before a refactor (the games below before the games

@@ -398,9 +398,8 @@ class TestExactTable:
     @pytest.mark.parametrize("bad", ["2", "x", " ", "\u00e9", "\ud800", "\x00"])
     @pytest.mark.parametrize("index", [0, 255, 256, 257, 599])
     def test_key_check_at_chunk_edges(self, index, bad):
-        # The bit characters are checked 256 joined keys at a time: one bad
-        # key of the right length on either side of a chunk edge, and in the
-        # short last chunk, still raises the per-entry error.
+        # The constructor checks every key, wherever ``exact_table``'s chunked
+        # output check (below) puts the edges of its chunks.
         keys = [dist.bin_n(v, 10) for v in range(600)]
         keys[index] = keys[index][:4] + bad + keys[index][5:]
         probs = dict.fromkeys(keys, Fraction(1, 600))
@@ -415,6 +414,36 @@ class TestExactTable:
         want = (ValueError, f"not a bitstring: {key!r}")
         assert self._check_against_reference({key: Fraction(1)}) == want
         assert self._check_against_reference({"000": Fraction(1, 2), key: Fraction(1, 2)}) == want
+
+    @pytest.mark.parametrize("bad", ["2", "x", " ", "\u00e9", "\ud800", "\x00"])
+    @pytest.mark.parametrize("distinct, index", [
+        (1024, 0), (1024, 255), (1024, 256), (1024, 257), (1024, 1023), (128, 127),
+        (600, 0), (600, 255), (600, 256), (600, 257), (600, 599),
+    ])
+    def test_output_check_at_chunk_edges(self, distinct, index, bad):
+        # ``exact_table`` checks the bit characters of its outputs 256 joined
+        # outputs at a time.  One bad output of the right length on either
+        # side of a chunk edge, and in a short last chunk, still raises the
+        # constructor's error: 2^m distinct outputs take the ``dict.fromkeys``
+        # path, 600 over 1,024 seeds the counting path.
+        keys = [dist.bin_n(v, 11) for v in range(distinct)]
+        keys[index] = keys[index][:4] + bad + keys[index][5:]
+        m = (distinct - 1).bit_length()  # the fewest seed bits that reach every key
+        spec = dist.GeneratorSpec(m, 11, lambda s: keys[int(s, 2) % distinct])
+        with pytest.raises(ValueError) as want:
+            dist.DistTable(11, self._counted(spec))
+        assert str(want.value) == f"not a bitstring: {keys[index]!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(str(want.value)) + "$"):
+            dist.exact_table(spec)
+
+    def test_float_sum_adds_left_to_right(self):
+        # Each 5e-17 is under half an ulp of 1 - 2e-12, so adding left to
+        # right leaves the total 2e-12 short of 1.  Builtin ``sum``
+        # compensates float sums from 3.12 on and would accept this table.
+        probs = {dist.bin_n(v, 16): 5e-17 if v else 1 - 2e-12 for v in range(40_002)}
+        message = "table sums to 0.999999999998, outside tolerance"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            dist.DistTable(16, probs)
 
     def test_table_build_peak_stays_near_its_size(self):
         # The outputs stream into the counts, and the key check holds one
