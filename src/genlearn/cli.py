@@ -125,7 +125,7 @@ def cmd_game(args) -> int:
                          "(discrete-log feasibility cap)")
     if args.game == "distinguish":
         adversary = {
-            "keylearner": key_learner_adversary(),
+            "keylearner": key_learner_adversary,
             "constant": make_constant_adversary(1),
             "coinflip": coin_flip_adversary,
         }[player]

@@ -18,7 +18,7 @@ import operator
 import random
 from collections import namedtuple
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .numtheory import GroupInstance
@@ -60,8 +60,10 @@ class GeneratorSpec(NamedTuple):
     """Executable description of a classical generator.
 
     ``eval_fn`` must be total on {0,1}^seed_bits and produce strings of
-    exactly ``out_bits`` bits.  ``outputs_fn``, if given, lists the same
-    outputs as ``outputs`` does by default, by a faster route.
+    exactly ``out_bits`` bits; ``eval`` and ``outputs`` check every string
+    it returns.  ``outputs_fn``, if given, is the package's own listing of
+    the same outputs by a faster route (the keyed specs' GGM tree), trusted
+    as built.
     """
 
     seed_bits: int
@@ -71,19 +73,26 @@ class GeneratorSpec(NamedTuple):
 
     def eval(self, seed: str) -> str:
         check_bits(seed, self.seed_bits)
+        return self._output(seed)
+
+    def _output(self, seed: str) -> str:
         out = self.eval_fn(seed)
         check_bits(out, self.out_bits)
         return out
 
     def outputs(self) -> Iterable[str]:
-        """Every output, seeds in ascending order, unchecked; at most 2^20 seeds."""
+        """Every output, seeds in ascending order; at most 2^20 seeds.
+
+        Each output of ``eval_fn`` is checked as it is drawn, so the first
+        bad one in seed order raises ``check_bits``' error.
+        """
         m = self.seed_bits
         if m > ENUMERATION_LIMIT:
             raise ValueError(f"seed space 2^{m} exceeds the 2^{ENUMERATION_LIMIT} enumeration budget")
         if self.outputs_fn is not None:
             return self.outputs_fn()
         # bin(2^m + v)[3:] is v in m bits, and "" for the one seed of m = 0.
-        return map(self.eval_fn, (bin(v)[3:] for v in range(1 << m, 2 << m)))
+        return map(self._output, (bin(v)[3:] for v in range(1 << m, 2 << m)))
 
 
 def encode_params(inst: GroupInstance) -> str:
@@ -175,22 +184,6 @@ class SampleOracle:
         return self.spec.eval(random_bits(self._rng, self.spec.seed_bits))
 
 
-def _bit_keys(keys, n_bits: int) -> bool:
-    """Whether every key is a ``str`` of ``n_bits`` '0'/'1' characters, by C-level passes.
-
-    ``exact_table``'s check of its outputs.  The bit characters are checked
-    256 joined keys at a time: the transient is one joined chunk, never the
-    whole table, and a non-ASCII character encodes as '?' and fails.
-    """
-    if not (set(map(type, keys)) <= {str} and set(map(len, keys)) <= {n_bits}):
-        return False
-    it = iter(keys)
-    for _ in range(0, len(keys), 256):
-        if "".join(islice(it, 256)).encode("ascii", "replace").translate(None, b"01"):
-            return False
-    return True
-
-
 class DistTable(namedtuple("DistTable", "n_bits probs")):
     """A finite probability table over n-bit strings.
 
@@ -199,9 +192,10 @@ class DistTable(namedtuple("DistTable", "n_bits probs")):
     (sums checked to 1e-12).  The public ways of building one (the
     constructor, ``_make``, ``_replace``) run ``__post_init__``, one pass
     over the entries in order: each key's bits, its value's sign and NaN,
-    and the sum, added left to right.  ``exact_table``, whose values are
-    positive and sum to exactly 1 by construction, builds its table
-    without it and checks only its outputs.
+    and the sum, added left to right.  ``exact_table`` builds its table
+    without it: its values are positive and sum to exactly 1 by
+    construction, and its keys are outputs that ``GeneratorSpec.outputs``
+    checked or built.
     """
 
     __slots__ = ()
@@ -254,10 +248,10 @@ def exact_table(spec: GeneratorSpec) -> DistTable:
     with the same count share one ``Fraction``.  When the 2^m outputs are
     distinct (every keyed spec: x is their prefix), the table is one
     ``dict.fromkeys`` of the enumeration; otherwise a second enumeration
-    counts them.  Either way the entries sum to exactly 1, so only the
-    outputs are checked, by ``_bit_keys``' C-level passes: each must be a
-    string of ``out_bits`` bits, and ``check_bits`` names the first bad one
-    as the ``DistTable`` constructor does.
+    counts them.  Either way the entries sum to exactly 1, and
+    ``spec.outputs()`` has checked every key, naming the first bad output
+    as the ``DistTable`` constructor would: the table has no check of its
+    own.
     """
     import fractions
     size = 1 << spec.seed_bits
@@ -269,9 +263,6 @@ def exact_table(spec: GeneratorSpec) -> DistTable:
         probs = {c: fractions.Fraction(c, size) for c in set(counts.values())}
         for y, c in counts.items():
             counts[y] = probs[c]
-    if not _bit_keys(counts, spec.out_bits):
-        for y in counts:
-            check_bits(y, spec.out_bits)
     return tuple.__new__(DistTable, (spec.out_bits, counts))
 
 

@@ -192,7 +192,7 @@ def run_distinguisher_game(
     )
 
 
-def key_learner_adversary():
+def key_learner_adversary(params: GroupInstance, oracle, rng: random.Random) -> int:
     """Adversary that recovers a key from one example and spot-checks it.
 
     Works against both flavors: under "mq" it picks its own probe points,
@@ -200,21 +200,17 @@ def key_learner_adversary():
     spot check always matches; against a random function it matches with
     probability about 1/q.
     """
-
-    def adversary(params: GroupInstance, oracle, rng: random.Random) -> int:
-        if isinstance(oracle, MembershipOracle):
-            key, x2 = _probe(params, oracle, rng)
-            v2 = oracle.query(x2)
-        else:
-            x1, v1 = oracle.draw()
-            while True:
-                x2, v2 = oracle.draw()
-                if x2 != x1:
-                    break
-            key = learn_key(params, x1, v1)
-        return 1 if prf_eval(params, key, x2) == v2 else 0
-
-    return adversary
+    if isinstance(oracle, MembershipOracle):
+        key, x2 = _probe(params, oracle, rng)
+        v2 = oracle.query(x2)
+    else:
+        x1, v1 = oracle.draw()
+        while True:
+            x2, v2 = oracle.draw()
+            if x2 != x1:
+                break
+        key = learn_key(params, x1, v1)
+    return 1 if prf_eval(params, key, x2) == v2 else 0
 
 
 def make_constant_adversary(output: int):

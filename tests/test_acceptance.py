@@ -184,7 +184,7 @@ def test_criterion_07_exact_generator_characterization():
 def test_criterion_08_distinguisher_game():
     t0 = time.monotonic()
     learner = games.run_distinguisher_game(
-        games.key_learner_adversary(), "mq", 8, 400, seed=8008
+        games.key_learner_adversary, "mq", 8, 400, seed=8008
     )
     assert learner.advantage >= 0.9
     constant = games.run_distinguisher_game(

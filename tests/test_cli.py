@@ -549,6 +549,26 @@ class TestGoldenOutput:
             "0011100110001101101000110111110011010001000111101000101101001100" + suffix
         )
 
+    # The right key in json is ``test_learn_on_n12_sample`` above.
+    @pytest.mark.parametrize("key, fmt, stdout", [
+        ("5", "text",
+         "n = 12\np = 2579\nq = 1289\ng = 1817\ng_a = 2219\nkey = 5\nsamples_used = 1\n"
+         "kl_to_target = 0.0\ntarget_key_matched = true\n"),
+        ("6", "json",
+         '{\n  "n": "12",\n  "p": "2579",\n  "q": "1289",\n  "g": "1817",\n'
+         '  "g_a": "2219",\n  "key": "5",\n  "samples_used": "1",\n'
+         '  "kl_to_target": "inf",\n  "target_key_matched": "false"\n}\n'),
+        ("6", "text",
+         "n = 12\np = 2579\nq = 1289\ng = 1817\ng_a = 2219\nkey = 5\nsamples_used = 1\n"
+         "kl_to_target = inf\ntarget_key_matched = false\n"),
+    ], ids=["right-key-text", "wrong-key-json", "wrong-key-text"])
+    def test_learn_target_key_on_n12_sample(self, key, fmt, stdout, n12_files, capsys):
+        # Both exact tables and their KL, in either format.
+        code, out, _ = run_cli(capsys, "learn", "--samples", str(n12_files[1]),
+                               "--target-key", key, "--format", fmt)
+        assert code == 0
+        assert out == stdout
+
     @pytest.mark.parametrize("argv, tail", [
         ([], ""),
         (["--target-key", "4"], ',\n  "kl_to_target": "inf",\n  "target_key_matched": "false"'),

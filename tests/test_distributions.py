@@ -78,6 +78,17 @@ class TestGeneratorEvals:
         with pytest.raises(ValueError):
             bad.eval("01")
 
+    @pytest.mark.parametrize("bad, message", [
+        ("0101", "bitstring '0101' has length 4, expected 3"),
+        ("1x1", "not a bitstring: '1x1'"),
+        (5, "not a bitstring: 5"),
+    ])
+    def test_outputs_name_the_first_bad_output(self, bad, message):
+        # Seeds 5 and 6 make bad outputs; the listing stops at seed 5's.
+        spec = dist.GeneratorSpec(3, 3, lambda s: {"101": bad, "110": "2"}.get(s, s))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            list(spec.outputs())
+
 
 class TestSpecWalks:
     @pytest.mark.parametrize("n", [3, 12, 64])
@@ -202,8 +213,10 @@ class TestExactTable:
 
     @staticmethod
     def _counted(spec):
-        # The count path: one Fraction per distinct count, first-occurrence order.
-        counts = Counter(spec.outputs())
+        # The count path: one Fraction per distinct count, first-occurrence
+        # order.  ``eval_fn`` runs unchecked, so bad outputs reach the caller.
+        seeds = map("".join, itertools.product("01", repeat=spec.seed_bits))
+        counts = Counter(map(spec.eval_fn, seeds))
         shared = {c: Fraction(c, 1 << spec.seed_bits) for c in set(counts.values())}
         return {y: shared[c] for y, c in counts.items()}
 
@@ -398,8 +411,8 @@ class TestExactTable:
     @pytest.mark.parametrize("bad", ["2", "x", " ", "\u00e9", "\ud800", "\x00"])
     @pytest.mark.parametrize("index", [0, 255, 256, 257, 599])
     def test_key_check_at_chunk_edges(self, index, bad):
-        # The constructor checks every key, wherever ``exact_table``'s chunked
-        # output check (below) puts the edges of its chunks.
+        # The constructor checks every key of a 600-entry table, the first,
+        # the last and those in between alike.
         keys = [dist.bin_n(v, 10) for v in range(600)]
         keys[index] = keys[index][:4] + bad + keys[index][5:]
         probs = dict.fromkeys(keys, Fraction(1, 600))
@@ -421,11 +434,11 @@ class TestExactTable:
         (600, 0), (600, 255), (600, 256), (600, 257), (600, 599),
     ])
     def test_output_check_at_chunk_edges(self, distinct, index, bad):
-        # ``exact_table`` checks the bit characters of its outputs 256 joined
-        # outputs at a time.  One bad output of the right length on either
-        # side of a chunk edge, and in a short last chunk, still raises the
-        # constructor's error: 2^m distinct outputs take the ``dict.fromkeys``
-        # path, 600 over 1,024 seeds the counting path.
+        # ``GeneratorSpec.outputs`` checks each output as ``exact_table``
+        # draws it.  One bad output of the right length anywhere, first,
+        # last or between, raises the constructor's error on both build
+        # paths: 2^m distinct outputs take the ``dict.fromkeys`` path, 600
+        # over 1,024 seeds the counting path.
         keys = [dist.bin_n(v, 11) for v in range(distinct)]
         keys[index] = keys[index][:4] + bad + keys[index][5:]
         m = (distinct - 1).bit_length()  # the fewest seed bits that reach every key
@@ -446,8 +459,8 @@ class TestExactTable:
             dist.DistTable(16, probs)
 
     def test_table_build_peak_stays_near_its_size(self):
-        # The outputs stream into the counts, and the key check holds one
-        # chunk at a time: the build's tracemalloc peak stays within 1.2x of
+        # The outputs stream into the counts, and no pass over the keys
+        # follows: the build's tracemalloc peak stays within 1.2x of
         # what the finished table keeps.  A lookup table of all 2^n n-bit
         # strings read 1.53x at n = 12, one join of every key 1.89x.  The
         # leaf level, held as ints while the outputs stream, reads 1.17x at
@@ -476,8 +489,9 @@ class TestExactTable:
     @given(m=st.integers(0, 6), data=st.data())
     def test_key_only_build_agrees_with_the_constructor(self, m, data):
         # ``exact_table`` skips ``__post_init__`` (its entries sum to 1 by
-        # construction) and checks only the outputs.  Distinct outputs take
-        # the ``dict.fromkeys`` path, repeated ones the counting path.
+        # construction); ``GeneratorSpec.outputs`` checks the outputs.
+        # Distinct outputs take the ``dict.fromkeys`` path, repeated ones the
+        # counting path.
         size = 1 << m
         if size <= 8 and data.draw(st.booleans(), label="distinct"):
             outs = data.draw(st.permutations(self._alphabet), label="outs")[:size]

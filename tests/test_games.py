@@ -35,7 +35,7 @@ class TestHoeffding:
 class TestDistinguisherGame:
     def test_key_learner_has_near_perfect_advantage(self):
         result = games.run_distinguisher_game(
-            games.key_learner_adversary(), "mq", 8, 200, seed=101
+            games.key_learner_adversary, "mq", 8, 200, seed=101
         )
         assert result.advantage >= 0.9
         assert 0 <= result.p_random <= 0.1
@@ -43,7 +43,7 @@ class TestDistinguisherGame:
 
     def test_key_learner_with_random_examples(self):
         result = games.run_distinguisher_game(
-            games.key_learner_adversary(), "pex", 8, 200, seed=5
+            games.key_learner_adversary, "pex", 8, 200, seed=5
         )
         assert result.advantage >= 0.9
 
@@ -87,11 +87,11 @@ class TestDistinguisherGame:
 
     def test_reproducible_bit_for_bit(self):
         run = lambda: games.run_distinguisher_game(
-            games.key_learner_adversary(), "mq", 6, 60, seed=77
+            games.key_learner_adversary, "mq", 6, 60, seed=77
         )
         assert run() == run()
         other = games.run_distinguisher_game(
-            games.key_learner_adversary(), "mq", 6, 60, seed=78
+            games.key_learner_adversary, "mq", 6, 60, seed=78
         )
         assert other != run()
 
@@ -105,11 +105,10 @@ class TestDistinguisherGame:
         assert result.invalid_real == result.invalid_random == 10
         # The key learner needs at most 2 membership queries, so no budget
         # of 2 or more invalidates its trials.
-        key_learner = games.key_learner_adversary()
         counts = []
 
         def counting(params, oracle, rng):
-            accept = key_learner(params, oracle, rng)
+            accept = games.key_learner_adversary(params, oracle, rng)
             counts.append(oracle.count)
             return accept
 
@@ -332,7 +331,7 @@ class _ExactExpectations:
 
     @pytest.mark.parametrize("flavor", ["mq", "pex"])
     def test_key_learner_distinguish(self, flavor):
-        adversary = games.key_learner_adversary()
+        adversary = games.key_learner_adversary
         results = [games.run_distinguisher_game(adversary, flavor, self.n, 2 * self.trials, s)
                    for s in range(self.seeds)]
         assert {r.p_real for r in results} == {1.0}
